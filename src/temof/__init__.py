@@ -7,14 +7,12 @@ statistics, and an experiment harness.
 
 __version__ = "0.1.0"
 
-from .core import (ConfigurationError, EvaluationError, Individual, Population,
-                   ProblemSpec, RngKey, RunBudget, TemofError, UnsupportedError,
-                   UsageError, concat, evaluate_all, initialize_population,
-                   merge_dedupe, rng_stream)
-from .dominance import (DominanceRelation, FrontPartition, dominates,
-                        nondominated_sort, pareto_mask, sort_fronts)
-from .variation import (VariationParams, generate_offspring, mating_pool,
-                        polynomial_mutation, sbx_crossover)
+from .core import (ConfigurationError, EvaluationError, Population, ProblemSpec,
+                   RngKey, RunBudget, TemofError, UnsupportedError, UsageError,
+                   concat, evaluate_all, initialize_population, merge_dedupe,
+                   rng_stream)
+from .dominance import DominanceRelation, dominates, pareto_mask, sort_fronts
+from .variation import VariationParams, generate_offspring, mating_pool
 from .nsga3 import (NormalizationState, Nsga3Base, ReferencePointSet, associate,
                     das_dennis, environmental_selection, first_front_selection,
                     normalize, nsga3_run, reference_points_for)
@@ -35,14 +33,12 @@ __all__ = [
     # core
     "TemofError", "ConfigurationError", "UsageError", "EvaluationError",
     "UnsupportedError", "ProblemSpec", "RunBudget", "RngKey", "rng_stream",
-    "Individual", "Population", "concat", "merge_dedupe",
+    "Population", "concat", "merge_dedupe",
     "initialize_population", "evaluate_all",
     # dominance
-    "DominanceRelation", "dominates", "sort_fronts", "nondominated_sort",
-    "FrontPartition", "pareto_mask",
+    "DominanceRelation", "dominates", "sort_fronts", "pareto_mask",
     # variation
-    "VariationParams", "mating_pool", "sbx_crossover", "polynomial_mutation",
-    "generate_offspring",
+    "VariationParams", "mating_pool", "generate_offspring",
     # nsga3
     "ReferencePointSet", "das_dennis", "reference_points_for",
     "NormalizationState", "normalize", "associate", "environmental_selection",

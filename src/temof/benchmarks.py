@@ -174,9 +174,6 @@ def _front_points(family: str, m: int, count: int) -> np.ndarray:
         w = _subsample(_simplex_lattice(m, count), count)
         front = w / np.linalg.norm(w, axis=1, keepdims=True)
     elif family in ("DTLZ5", "DTLZ6"):
-        if m > 3:
-            raise UnsupportedError(
-                f"{family}: true-front sampling is only supported for n_obj <= 3, got {m}")
         theta = np.linspace(0.0, np.pi / 2.0, count)
         if m == 2:
             front = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -184,9 +181,6 @@ def _front_points(family: str, m: int, count: int) -> np.ndarray:
             c = np.cos(np.pi / 4.0)
             front = np.column_stack([np.cos(theta) * c, np.cos(theta) * c, np.sin(theta)])
     elif family == "DTLZ7":
-        if m > 3:
-            raise UnsupportedError(
-                f"{family}: true-front sampling is only supported for n_obj <= 3, got {m}")
         for factor in (12, 48, 192):
             if m == 2:
                 grid = np.linspace(0.0, 1.0, factor * count)[:, None]
@@ -276,11 +270,15 @@ def make_problem(name: str, n_var: int | None = None, n_obj: int | None = None) 
             raise ConfigurationError(
                 f"{key}: n_var must be at least n_obj (got n_var={d}, n_obj={m})")
         evaluator = _DTLZ_EVALS[key]
+        # the DTLZ5/6 (degenerate) and DTLZ7 (disconnected) front samplers stop
+        # at 3 objectives; without a sampler true_front raises UnsupportedError
+        sampled = m <= 3 or key not in ("DTLZ5", "DTLZ6", "DTLZ7")
         return ProblemSpec(
             name=key, n_var=d, n_obj=m,
             lower=np.zeros(d), upper=np.ones(d),
             evaluator=lambda x, _e=evaluator, _m=m: _e(x, _m),
-            front_sampler=lambda count, _k=key, _m=m: _front_points(_k, _m, count))
+            front_sampler=(lambda count, _k=key, _m=m: _front_points(_k, _m, count))
+            if sampled else None)
     if key in _ZDT_EVALS:
         if n_obj is not None and int(n_obj) != 2:
             raise ConfigurationError(f"{key}: n_obj is fixed at 2, got {n_obj}")

@@ -11,7 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -140,10 +140,7 @@ def _cmd_run(args) -> int:
     if args.config is not None:
         config = load_config(args.config)
         if args.out is not None:
-            raw = json.loads(Path(args.config).read_text())
-            raw["output_dir"] = args.out
-            from .harness import config_from_dict
-            config = config_from_dict(raw)
+            config = dataclasses.replace(config, output_dir=args.out)
     else:
         config = _config_from_flags(args)
 

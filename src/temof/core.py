@@ -8,10 +8,9 @@ transformation returns a new Population.
 
 from __future__ import annotations
 
-import math
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -177,20 +176,8 @@ class RunBudget:
 
 
 # ---------------------------------------------------------------------------
-# Individuals and populations
+# Populations
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Individual:
-    """Read-only view of one population member."""
-
-    decision: np.ndarray
-    objectives: np.ndarray | None
-
-    @property
-    def evaluated(self) -> bool:
-        return self.objectives is not None
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
@@ -258,13 +245,6 @@ class Population:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def __getitem__(self, i: int) -> Individual:
-        obj = self.f[i] if self.evaluated[i] else None
-        return Individual(self.x[i], obj)
-
-    def __iter__(self) -> Iterator[Individual]:
-        return (self[i] for i in range(len(self)))
-
     def take(self, indices) -> "Population":
         idx = np.asarray(indices, dtype=int)
         return Population(self.x[idx], self.f[idx], evaluated=self.evaluated[idx])
@@ -291,33 +271,32 @@ def concat(*populations: Population) -> Population:
     return Population(x, f, evaluated=mask)
 
 
-def merge_dedupe(a: Population, b: Population) -> Population:
+def merge_dedupe(a: Population, b: Population) -> tuple[Population, np.ndarray]:
     """Union of two populations with exact duplicate decision vectors dropped.
 
     Duplicates are detected by bitwise equality of the decision vector; the
-    first occurrence wins (all of `a` first, then `b`).
+    first occurrence wins (all of `a` first, then `b`).  Also returns the
+    indices of the dropped rows into concat(a, b), in ascending order.
     """
     if a.n_var != b.n_var or a.n_obj != b.n_obj:
         raise ConfigurationError(
             f"cannot merge populations with shapes ({a.n_var},{a.n_obj}) and "
             f"({b.n_var},{b.n_obj})")
+    x = np.vstack([a.x, b.x])
     seen: set[bytes] = set()
-    keep_a: list[int] = []
-    keep_b: list[int] = []
-    for i in range(len(a)):
-        key = a.x[i].tobytes()
-        if key not in seen:
+    keep: list[int] = []
+    dropped: list[int] = []
+    for i in range(x.shape[0]):
+        key = x[i].tobytes()
+        if key in seen:
+            dropped.append(i)
+        else:
             seen.add(key)
-            keep_a.append(i)
-    for i in range(len(b)):
-        key = b.x[i].tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep_b.append(i)
-    x = np.vstack([a.x[keep_a], b.x[keep_b]])
-    f = np.vstack([a.f[keep_a], b.f[keep_b]])
-    mask = np.concatenate([a.evaluated[keep_a], b.evaluated[keep_b]])
-    return Population(x, f, evaluated=mask)
+            keep.append(i)
+    f = np.vstack([a.f, b.f])
+    mask = np.concatenate([a.evaluated, b.evaluated])
+    return (Population(x[keep], f[keep], evaluated=mask[keep]),
+            np.asarray(dropped, dtype=int))
 
 
 def initialize_population(problem: ProblemSpec, n: int,

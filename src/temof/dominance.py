@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .core import ConfigurationError, Population, UsageError
+from .core import ConfigurationError, UsageError
 
 
 class DominanceRelation(Enum):
@@ -63,31 +62,6 @@ def sort_fronts(f: np.ndarray) -> list[np.ndarray]:
         n_dominators -= dom[current].sum(axis=0)
         current = np.flatnonzero(n_dominators == 0)
     return fronts
-
-
-@dataclass(frozen=True)
-class FrontPartition:
-    """Result of non-dominated sorting over a population."""
-
-    fronts: list[np.ndarray]
-    size: int
-
-    def ranks(self) -> np.ndarray:
-        """Front index per member (0 = non-dominated)."""
-        out = np.empty(self.size, dtype=int)
-        for k, front in enumerate(self.fronts):
-            out[front] = k
-        return out
-
-    def __len__(self) -> int:
-        return len(self.fronts)
-
-
-def nondominated_sort(pop: Population) -> FrontPartition:
-    """Sort an evaluated population into fronts."""
-    if len(pop) == 0:
-        raise UsageError("cannot sort an empty population")
-    return FrontPartition(sort_fronts(pop.objectives), len(pop))
 
 
 def pareto_mask(f: np.ndarray) -> np.ndarray:

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .core import (ConfigurationError, Population, ProblemSpec, RngKey, RunBudget,
                    as_rng_key, concat, initialize_population, merge_dedupe)
 from .nsga3 import Nsga3Base
@@ -110,26 +108,6 @@ class TemofResult:
     fes: int
 
 
-def _pad_union(a: Population, b: Population, union: Population, n: int) -> Population:
-    """Top the merged union back up to n members.
-
-    Variation can reproduce a parent bit for bit, so dropping exact
-    duplicates may leave fewer than n distinct members.  The earliest
-    removed copies are appended back, keeping the population size fixed.
-    """
-    both = concat(a, b)
-    seen: set[bytes] = set()
-    extras: list[int] = []
-    for i in range(len(both)):
-        key = both.x[i].tobytes()
-        if key in seen:
-            extras.append(i)
-        else:
-            seen.add(key)
-    need = n - len(union)
-    return concat(union, both.take(np.asarray(extras[:need], dtype=int)))
-
-
 def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
               *, base_factory=None, variation: VariationParams | None = None,
               observer=None, disable_archive: bool = False) -> TemofResult:
@@ -168,9 +146,12 @@ def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
             population = selected
         else:
             archive = base.first_front_selection(concat(archive, offspring), config.n)
-            union = merge_dedupe(selected, archive)
+            union, dropped = merge_dedupe(selected, archive)
             if len(union) < config.n:
-                union = _pad_union(selected, archive, union, config.n)
+                # variation can copy a parent bit for bit; top the union back
+                # up to n with the earliest dropped copies
+                both = concat(selected, archive)
+                union = concat(union, both.take(dropped[:config.n - len(union)]))
             population = base.environmental_selection(union, config.n)
         trace.append(GenerationRecord(generation, fes_before, source, budget.fes))
         if observer is not None:

@@ -18,7 +18,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -60,7 +60,11 @@ class ProblemSelection:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        make_problem(self.name, self.n_var, self.n_obj)  # fail fast on bad dims
+        problem = make_problem(self.name, self.n_var, self.n_obj)  # fail fast on bad dims
+        if problem.front_sampler is None:  # every known metric is scored against the front
+            raise ConfigurationError(
+                f"{problem.name} with n_obj={problem.n_obj} has no true-front sampler, "
+                f"so its runs cannot be scored")
 
     @property
     def key(self) -> str:
@@ -277,61 +281,51 @@ class RunRecord:
     wall_ms: float
 
 
-def _execute_run(task: dict) -> dict:
-    """Run one (problem, algorithm, seed) cell; returns plain row data.
+@dataclass(frozen=True)
+class RunTask:
+    """One (problem, algorithm, seed) cell of an experiment matrix."""
 
-    Kept top-level and dict-based so worker processes can execute it.
+    config: ExperimentConfig
+    problem: ProblemSelection
+    algorithm: AlgorithmSpec
+    seed: int
+
+
+def _execute_run(task: RunTask) -> RunRecord:
+    """Run one cell and score it.
+
+    Kept top-level, with a picklable task, so worker processes can execute it.
     """
-    prob_spec = task["problem"]
-    algo = task["algorithm"]
-    problem = make_problem(prob_spec["name"], prob_spec["n_var"], prob_spec["n_obj"])
-    key = RngKey(task["master_seed"], task["seed"])
-    variation = VariationParams(pc=algo["pc"], eta_c=algo["eta_c"],
-                                pm=algo["pm"], eta_m=algo["eta_m"])
+    config, algo = task.config, task.algorithm
+    problem = make_problem(task.problem.name, task.problem.n_var, task.problem.n_obj)
+    key = RngKey(config.master_seed, task.seed)
     start = time.perf_counter()
-    if algo["name"] == "nsga3":
-        population, fes = nsga3_run(problem, task["n"], task["max_fes"], key,
-                                    variation=variation)
+    if algo.name == "nsga3":
+        population, fes = nsga3_run(problem, config.n, config.max_fes, key,
+                                    variation=algo.variation())
         target = population.objectives
     else:
         result = temof_run(problem,
-                           FrameworkConfig(n=task["n"], max_fes=task["max_fes"],
-                                           p=algo["p"],
-                                           stage_fraction=algo["stage_fraction"]),
-                           key, variation=variation)
+                           FrameworkConfig(n=config.n, max_fes=config.max_fes, p=algo.p,
+                                           stage_fraction=algo.stage_fraction),
+                           key, variation=algo.variation())
         fes = result.fes
-        target = (result.archive if task["indicator_target"] == "archive"
+        target = (result.archive if config.indicator_target == "archive"
                   else result.population).objectives
     wall_ms = (time.perf_counter() - start) * 1000.0
-    front = problem.true_front(task["igd_reference_size"])
+    front = problem.true_front(config.igd_reference_size)
     values = {}
-    for metric in task["metrics"]:
+    for metric in config.metrics:
         if metric == "IGD":
             values[metric] = igd(target, front).value
         elif metric == "GD":
             values[metric] = gd(target, front).value
         else:
-            ref = task["hv_ref_scale"] * front.max(axis=0)
-            values[metric] = hv(target, ref, samples=task["hv_mc_samples"],
-                                rng=rng_stream(task["master_seed"], task["seed"],
+            ref = config.hv_ref_scale * front.max(axis=0)
+            values[metric] = hv(target, ref, samples=config.hv_mc_samples,
+                                rng=rng_stream(config.master_seed, task.seed,
                                                "hv-mc")).value
-    return {"problem": prob_spec["key"], "algorithm": algo["key"], "seed": task["seed"],
-            "values": values, "fes": fes, "wall_ms": wall_ms}
-
-
-def _task_for(config: ExperimentConfig, problem: ProblemSelection,
-              algorithm: AlgorithmSpec, seed: int) -> dict:
-    prob = problem.to_dict()
-    prob["key"] = problem.key
-    algo = algorithm.to_dict()
-    algo["key"] = algorithm.key
-    return {"problem": prob, "algorithm": algo, "seed": seed,
-            "master_seed": config.master_seed, "n": config.n,
-            "max_fes": config.max_fes, "metrics": list(config.metrics),
-            "indicator_target": config.indicator_target,
-            "igd_reference_size": config.igd_reference_size,
-            "hv_ref_scale": config.hv_ref_scale,
-            "hv_mc_samples": config.hv_mc_samples}
+    return RunRecord(task.problem.key, algo.key, task.seed, values, fes, wall_ms)
 
 
 def _worker_count(workers: int | None) -> int:
@@ -404,7 +398,7 @@ def run_matrix(config: ExperimentConfig, workers: int | None = None,
                 rec = existing.get(key)
                 if rec is not None and need_metrics <= set(rec.metrics):
                     continue
-                tasks.append(_task_for(config, problem, algorithm, seed))
+                tasks.append(RunTask(config, problem, algorithm, seed))
 
     failures: list[dict] = []
     total = len(tasks)
@@ -416,25 +410,20 @@ def run_matrix(config: ExperimentConfig, workers: int | None = None,
             writer.writerow(RUN_COLUMNS)
             fh.flush()
 
-        def consume(task, outcome, error):
+        def consume(task, record, error):
             nonlocal done
             done += 1
-            record = None
             if error is None:
-                for metric in task["metrics"]:
-                    writer.writerow([outcome["problem"], outcome["algorithm"],
-                                     outcome["seed"], metric,
-                                     repr(outcome["values"][metric]),
-                                     outcome["fes"], repr(outcome["wall_ms"])])
+                for metric in config.metrics:
+                    writer.writerow([record.problem, record.algorithm, record.seed, metric,
+                                     repr(record.metrics[metric]), record.fes,
+                                     repr(record.wall_ms)])
                 fh.flush()
-                record = RunRecord(outcome["problem"], outcome["algorithm"],
-                                   outcome["seed"], dict(outcome["values"]),
-                                   outcome["fes"], outcome["wall_ms"])
                 existing[(record.problem, record.algorithm, record.seed)] = record
             else:
-                failures.append({"problem": task["problem"]["key"],
-                                 "algorithm": task["algorithm"]["key"],
-                                 "seed": task["seed"],
+                failures.append({"problem": task.problem.key,
+                                 "algorithm": task.algorithm.key,
+                                 "seed": task.seed,
                                  "error": f"{type(error).__name__}: {error}"})
             if progress is not None:
                 progress(done, total, record)
@@ -442,8 +431,7 @@ def run_matrix(config: ExperimentConfig, workers: int | None = None,
         if workers == 1 or not tasks:
             for task in tasks:
                 try:
-                    outcome = _execute_run(task)
-                    consume(task, outcome, None)
+                    consume(task, _execute_run(task), None)
                 except Exception as exc:  # record and move on
                     consume(task, None, exc)
         else:

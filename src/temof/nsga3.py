@@ -2,7 +2,8 @@
 
 Provides Das-Dennis reference directions, adaptive normalization,
 association, niching, the two environmental selection variants used by the
-framework, and a plain generational runner built from the same parts.
+framework, and the plain NSGA-III runner, which is the framework loop with
+the archive switched off.
 """
 
 from __future__ import annotations
@@ -12,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigurationError, Population, ProblemSpec, RngKey, RunBudget,
-                   UsageError, as_rng_key, concat, initialize_population)
+from .core import ConfigurationError, Population, ProblemSpec, RngKey, UsageError
 from .dominance import sort_fronts
-from .variation import VariationParams, generate_offspring
+from .variation import VariationParams
 
 MAX_REFERENCE_POINTS = 100_000
 INTERCEPT_FLOOR = 1e-12
@@ -278,24 +278,16 @@ class Nsga3Base:
 def nsga3_run(problem: ProblemSpec, n: int, max_fes: int, seed: RngKey | int,
               variation: VariationParams | None = None,
               observer=None) -> tuple[Population, int]:
-    """Plain generational NSGA-III loop.
+    """Plain generational NSGA-III: the framework loop with the archive off.
 
     Initializes n members (n FEs), then repeats offspring generation and
     environmental selection while the budget check FEs <= max_fes passes at
-    the top of the loop.  Returns (final population, FEs used).
+    the top of the loop.  observer(generation, fes, population) is called
+    after every generation.  Returns (final population, FEs used).
     """
-    key = as_rng_key(seed)
-    if max_fes < n:
-        raise ConfigurationError(f"max_fes={max_fes} is below the population size {n}")
-    budget = RunBudget(max_fes)
-    pop = initialize_population(problem, n, key.stream("init"), budget)
-    base = Nsga3Base(problem, n, key.stream("selection"), variation)
-    var_rng = key.stream("variation")
-    generation = 0
-    while budget.within_budget:
-        generation += 1
-        off = generate_offspring(pop, n, base.variation, problem, budget, var_rng)
-        pop = base.environmental_selection(concat(pop, off), n)
-        if observer is not None:
-            observer(generation, budget.fes, pop)
-    return pop, budget.fes
+    from .framework import FrameworkConfig, temof_run  # framework imports this module
+    hook = None if observer is None else (
+        lambda gen, fes, source, pop, archive: observer(gen, fes, pop))
+    result = temof_run(problem, FrameworkConfig(n=n, max_fes=max_fes), seed,
+                       variation=variation, observer=hook, disable_archive=True)
+    return result.population, result.fes

@@ -73,16 +73,6 @@ def sbx_batch(p1: np.ndarray, p2: np.ndarray, params: VariationParams,
     return c1, c2
 
 
-def sbx_crossover(p1: np.ndarray, p2: np.ndarray, params: VariationParams,
-                  lower: np.ndarray, upper: np.ndarray,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """SBX on a single parent pair."""
-    c1, c2 = sbx_batch(np.asarray(p1, dtype=float)[None, :],
-                       np.asarray(p2, dtype=float)[None, :],
-                       params, lower, upper, rng)
-    return c1[0], c2[0]
-
-
 def mutate_batch(x: np.ndarray, params: VariationParams,
                  lower: np.ndarray, upper: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
@@ -101,13 +91,6 @@ def mutate_batch(x: np.ndarray, params: VariationParams,
     out = np.where(site, x + delta * span, x)
     np.clip(out, lower, upper, out=out)
     return out
-
-
-def polynomial_mutation(x: np.ndarray, params: VariationParams,
-                        lower: np.ndarray, upper: np.ndarray,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Polynomial mutation of a single decision vector."""
-    return mutate_batch(np.asarray(x, dtype=float)[None, :], params, lower, upper, rng)[0]
 
 
 def generate_offspring(source: Population, n: int, params: VariationParams,

@@ -129,26 +129,12 @@ class TestPopulation:
         x[0, 0] = 9.0
         assert pop.x[0, 0] == 0.0
 
-    def test_individual_view(self):
-        pop = Population(np.arange(6, dtype=float).reshape(3, 2),
-                         np.arange(6, dtype=float).reshape(3, 2) * 10)
-        ind = pop[1]
-        assert ind.evaluated
-        assert np.array_equal(ind.decision, [2.0, 3.0])
-        assert np.array_equal(ind.objectives, [20.0, 30.0])
-        unpop = Population.unevaluated(np.zeros((1, 2)), 2)
-        assert unpop[0].objectives is None and not unpop[0].evaluated
-
     def test_take_preserves_state(self):
         pop = Population(np.arange(8, dtype=float).reshape(4, 2),
                          np.arange(8, dtype=float).reshape(4, 2))
         sub = pop.take([2, 0])
         assert np.array_equal(sub.x, [[4.0, 5.0], [0.0, 1.0]])
         assert np.array_equal(sub.f, [[4.0, 5.0], [0.0, 1.0]])
-
-    def test_iteration(self):
-        pop = Population(np.zeros((3, 2)), np.ones((3, 2)))
-        assert sum(1 for _ in pop) == 3
 
     def test_row_count_mismatch(self):
         with pytest.raises(UsageError):
@@ -173,22 +159,26 @@ class TestConcatAndMerge:
         a = Population(np.array([[0.5, 0.5], [0.1, 0.2]]), np.zeros((2, 2)))
         b = Population(np.array([[0.5, 0.5], [0.9, 0.9], [0.1, 0.2]]),
                        np.ones((3, 2)))
-        merged = merge_dedupe(a, b)
+        merged, dropped = merge_dedupe(a, b)
         assert len(merged) == 3
         # first occurrence wins: a's rows first, then b's novel row
         assert np.array_equal(merged.x, [[0.5, 0.5], [0.1, 0.2], [0.9, 0.9]])
         assert np.array_equal(merged.f[0], [0.0, 0.0])
+        # dropped rows are indices into concat(a, b), ascending
+        assert list(dropped) == [2, 4]
 
     def test_merge_keeps_near_duplicates(self):
         eps = np.nextafter(0.5, 1.0)
         a = Population(np.array([[0.5, 0.5]]), np.zeros((1, 2)))
         b = Population(np.array([[eps, 0.5]]), np.ones((1, 2)))
-        assert len(merge_dedupe(a, b)) == 2
+        merged, dropped = merge_dedupe(a, b)
+        assert len(merged) == 2 and dropped.size == 0
 
     def test_merge_dedupes_within_one_side(self):
         a = Population(np.array([[0.5, 0.5], [0.5, 0.5]]), np.zeros((2, 2)))
         b = Population(np.zeros((1, 2)), np.ones((1, 2)))
-        assert len(merge_dedupe(a, b)) == 2
+        merged, dropped = merge_dedupe(a, b)
+        assert len(merged) == 2 and list(dropped) == [1]
 
     def test_merge_dim_mismatch(self):
         a = Population(np.zeros((1, 2)), np.zeros((1, 2)))

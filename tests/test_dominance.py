@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from temof import (ConfigurationError, DominanceRelation, Population, UsageError,
-                   dominates, nondominated_sort, pareto_mask, sort_fronts)
+from temof import (ConfigurationError, DominanceRelation, UsageError, dominates,
+                   pareto_mask, sort_fronts)
 
 
 def peel_oracle(f):
@@ -100,26 +100,6 @@ class TestSortFronts:
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert np.array_equal(np.sort(g), np.sort(w))
-
-
-class TestNondominatedSort:
-    def test_partition_object(self):
-        pop = Population(np.zeros((3, 2)),
-                         np.array([[1.0, 1.0], [2.0, 2.0], [0.5, 3.0]]))
-        part = nondominated_sort(pop)
-        assert part.size == 3
-        assert list(part.ranks()) == [0, 1, 0]
-        assert len(part) == 2
-
-    def test_unevaluated_rejected(self):
-        pop = Population.unevaluated(np.zeros((3, 2)), 2)
-        with pytest.raises(UsageError):
-            nondominated_sort(pop)
-
-    def test_empty_rejected(self):
-        pop = Population(np.zeros((1, 2)), np.zeros((1, 2))).take([])
-        with pytest.raises(UsageError):
-            nondominated_sort(pop)
 
 
 class TestParetoMask:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from temof import (ConfigurationError, FrameworkConfig, MatingSource, Nsga3Base,
-                   make_problem, nsga3_run, pareto_mask, sort_fronts, stage_gate,
-                   temof_run)
+                   VariationParams, make_problem, nsga3_run, pareto_mask, sort_fronts,
+                   stage_gate, temof_run)
 
 
 class TestStageGate:
@@ -111,6 +111,17 @@ class TestStructuralInvariants:
         temof_run(tiny_problem(), FrameworkConfig(n=40, max_fes=1200), 5,
                   observer=lambda gen, fes, src, pop, arch: sizes.append(len(pop)))
         assert all(s == 40 for s in sizes)
+
+    def test_population_capacity_when_children_copy_parents(self):
+        # with pc=0 and pm=0 every child is a copy of a parent, so the
+        # deduplicated union falls short of n and is topped up with copies
+        pops = []
+        temof_run(tiny_problem(), FrameworkConfig(n=40, max_fes=1200), 5,
+                  variation=VariationParams(pc=0.0, pm=0.0),
+                  observer=lambda gen, fes, src, pop, arch: pops.append(pop))
+        assert len(pops) == 30
+        assert all(len(pop) == 40 for pop in pops)
+        assert all(len({row.tobytes() for row in pop.x}) < 40 for pop in pops)
 
     def test_population_has_no_duplicate_decisions(self):
         pops = []

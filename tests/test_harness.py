@@ -78,6 +78,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             ProblemSelection("ZDT1", n_obj=3)
 
+    def test_problem_without_front_sampler_rejected(self):
+        # every metric is scored against the true front, so such a problem
+        # must fail when the config is built, not after optimizing
+        for name in ("DTLZ5", "DTLZ6", "DTLZ7"):
+            with pytest.raises(ConfigurationError, match="true-front sampler"):
+                ProblemSelection(name, n_obj=4)
+        assert ProblemSelection("DTLZ2", n_obj=4).key == "DTLZ2_dx4"
+
 
 class TestConfigFromDict:
     def test_seeds_as_list(self):
@@ -189,7 +197,7 @@ class TestRunMatrix:
         orig = harness._execute_run
 
         def flaky(task):
-            if task["algorithm"]["name"] == "temof-nsga3":
+            if task.algorithm.name == "temof-nsga3":
                 raise RuntimeError("synthetic fault")
             return orig(task)
 
@@ -400,6 +408,19 @@ class TestCli:
         path.write_text(json.dumps(cfg))
         assert cli_main(["run", "--config", str(path), "--quiet"]) == 0
         assert (tmp_path / "exp" / "runs.csv").exists()
+
+    def test_run_config_file_with_out_override(self, tmp_path, capsys):
+        cfg = {"problems": ["ZDT1"], "algorithms": ["nsga3"], "seeds": [0],
+               "n": 10, "max_fes": 50, "metrics": ["IGD"],
+               "igd_reference_size": 200,
+               "output_dir": str(tmp_path / "from_config")}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "from_flag"
+        assert cli_main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        assert (out / "runs.csv").exists()
+        assert json.loads((out / "metadata.json").read_text())["config"]["seeds"] == [0]
+        assert not (tmp_path / "from_config").exists()
 
     def test_run_flag_validation(self, capsys):
         assert cli_main(["run", "--problem", "ZDT1"]) == 2

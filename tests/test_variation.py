@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from temof import (ConfigurationError, Population, ProblemSpec, RunBudget,
-                   UsageError, VariationParams, generate_offspring, mating_pool,
-                   polynomial_mutation, sbx_crossover)
+                   UsageError, VariationParams, generate_offspring, mating_pool)
 from temof.variation import mutate_batch, sbx_batch
 
 
@@ -74,24 +73,23 @@ class TestSbx:
         lower, upper = np.zeros(n), np.ones(n)
         rng = np.random.default_rng(12)
         for _ in range(20):
-            p1, p2 = rng.random(n), rng.random(n)
-            c1, c2 = sbx_crossover(p1, p2, VariationParams(eta_c=0.5),
-                                   lower, upper, rng)
+            p1, p2 = rng.random((1, n)), rng.random((1, n))
+            c1, c2 = sbx_batch(p1, p2, VariationParams(eta_c=0.5), lower, upper, rng)
             for c in (c1, c2):
                 assert (c >= lower).all() and (c <= upper).all()
 
     def test_pc_zero_copies_parents(self):
         n = 5
-        p1, p2 = np.full(n, 0.2), np.full(n, 0.8)
-        c1, c2 = sbx_crossover(p1, p2, VariationParams(pc=0.0),
-                               np.zeros(n), np.ones(n), np.random.default_rng(0))
+        p1, p2 = np.full((1, n), 0.2), np.full((1, n), 0.8)
+        c1, c2 = sbx_batch(p1, p2, VariationParams(pc=0.0),
+                           np.zeros(n), np.ones(n), np.random.default_rng(0))
         assert np.array_equal(c1, p1) and np.array_equal(c2, p2)
 
     def test_large_eta_keeps_children_near_parents(self):
         n = 6
-        p1, p2 = np.full(n, 0.3), np.full(n, 0.7)
-        c1, c2 = sbx_crossover(p1, p2, VariationParams(eta_c=1e6),
-                               np.zeros(n), np.ones(n), np.random.default_rng(2))
+        p1, p2 = np.full((1, n), 0.3), np.full((1, n), 0.7)
+        c1, c2 = sbx_batch(p1, p2, VariationParams(eta_c=1e6),
+                           np.zeros(n), np.ones(n), np.random.default_rng(2))
         assert np.allclose(np.sort(np.vstack([c1, c2]), axis=0),
                            np.vstack([p1, p2]), atol=1e-4)
 
@@ -102,11 +100,11 @@ class TestSbx:
 
     def test_determinism(self):
         n = 4
-        p1, p2 = np.full(n, 0.1), np.full(n, 0.9)
-        out1 = sbx_crossover(p1, p2, VariationParams(), np.zeros(n), np.ones(n),
-                             np.random.default_rng(9))
-        out2 = sbx_crossover(p1, p2, VariationParams(), np.zeros(n), np.ones(n),
-                             np.random.default_rng(9))
+        p1, p2 = np.full((1, n), 0.1), np.full((1, n), 0.9)
+        out1 = sbx_batch(p1, p2, VariationParams(), np.zeros(n), np.ones(n),
+                         np.random.default_rng(9))
+        out2 = sbx_batch(p1, p2, VariationParams(), np.zeros(n), np.ones(n),
+                         np.random.default_rng(9))
         assert np.array_equal(out1[0], out2[0]) and np.array_equal(out1[1], out2[1])
 
 
@@ -121,18 +119,18 @@ class TestPolynomialMutation:
 
     def test_pm_zero_is_identity(self):
         n = 6
-        x = np.random.default_rng(0).random(n)
-        out = polynomial_mutation(x, VariationParams(pm=0.0), np.zeros(n),
-                                  np.ones(n), np.random.default_rng(1))
+        x = np.random.default_rng(0).random((1, n))
+        out = mutate_batch(x, VariationParams(pm=0.0), np.zeros(n),
+                           np.ones(n), np.random.default_rng(1))
         assert np.array_equal(out, x)
 
     def test_boundary_point_moves_inward_only(self):
         n = 4
-        x = np.zeros(n)  # at the lower bound
+        x = np.zeros((1, n))  # at the lower bound
         rng = np.random.default_rng(3)
         for _ in range(50):
-            out = polynomial_mutation(x, VariationParams(pm=1.0), np.zeros(n),
-                                      np.ones(n), rng)
+            out = mutate_batch(x, VariationParams(pm=1.0), np.zeros(n),
+                               np.ones(n), rng)
             assert (out >= 0).all()
 
     def test_symmetric_at_midpoint(self):
