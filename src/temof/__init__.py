@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 
 from .core import (ConfigurationError, EvaluationError, Population, ProblemSpec,
                    RngKey, RunBudget, TemofError, UnsupportedError, UsageError,
-                   concat, evaluate_all, initialize_population, merge_dedupe,
-                   rng_stream)
+                   concat, initialize_population, merge_dedupe, rng_stream)
 from .dominance import DominanceRelation, dominates, pareto_mask, sort_fronts
 from .variation import VariationParams, generate_offspring, mating_pool
 from .nsga3 import (NormalizationState, Nsga3Base, ReferencePointSet, associate,
@@ -34,7 +33,7 @@ __all__ = [
     "TemofError", "ConfigurationError", "UsageError", "EvaluationError",
     "UnsupportedError", "ProblemSpec", "RunBudget", "RngKey", "rng_stream",
     "Population", "concat", "merge_dedupe",
-    "initialize_population", "evaluate_all",
+    "initialize_population",
     # dominance
     "DominanceRelation", "dominates", "sort_fronts", "pareto_mask",
     # variation

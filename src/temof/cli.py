@@ -107,7 +107,11 @@ def _config_from_flags(args) -> ExperimentConfig:
         raise UsageError(
             f"run needs either --config or the flags: {', '.join(missing)}")
     if args.seed_list is not None:
-        seeds = tuple(int(s) for s in args.seed_list.split(","))
+        try:
+            seeds = tuple(int(s) for s in args.seed_list.split(","))
+        except ValueError:
+            raise UsageError(f"--seed-list must be comma-separated integers, "
+                             f"got {args.seed_list!r}") from None
     else:
         if args.seeds < 1:
             raise UsageError(f"--seeds must be >= 1, got {args.seeds}")

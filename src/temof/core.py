@@ -1,9 +1,9 @@
 """Core data types shared by the whole package.
 
-Populations are thin wrappers around numpy arrays (decision matrix,
-objective matrix, evaluated mask).  All operations treat populations as
-immutable values: the backing arrays are marked read-only and every
-transformation returns a new Population.
+Populations are thin wrappers around numpy arrays (decision matrix and
+objective matrix); every member carries its objective values.  All
+operations treat populations as immutable values: the backing arrays are
+marked read-only and every transformation returns a new Population.
 """
 
 from __future__ import annotations
@@ -186,42 +186,23 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 class Population:
-    """Fixed-size collection of decision vectors with optional objectives.
+    """Fixed-size collection of decision vectors with their objective values.
 
-    x has shape (n, n_var), f has shape (n, n_obj).  Rows of f whose
-    evaluated flag is False hold NaN placeholders.
+    x has shape (n, n_var), f has shape (n, n_obj).
     """
 
-    __slots__ = ("x", "f", "evaluated")
+    __slots__ = ("x", "f")
 
-    def __init__(self, x: np.ndarray, f: np.ndarray | None = None, *,
-                 n_obj: int | None = None, evaluated: np.ndarray | None = None):
+    def __init__(self, x: np.ndarray, f: np.ndarray):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.ndim != 2:
             raise UsageError(f"decision matrix must be 2-D, got shape {x.shape}")
-        n = x.shape[0]
-        if f is None:
-            if n_obj is None:
-                raise UsageError("either objectives or n_obj must be provided")
-            f = np.full((n, n_obj), np.nan)
-            mask = np.zeros(n, dtype=bool)
-        else:
-            f = np.atleast_2d(np.asarray(f, dtype=float))
-            if f.shape[0] != n:
-                raise UsageError(
-                    f"objective matrix has {f.shape[0]} rows for {n} individuals")
-            mask = np.ones(n, dtype=bool) if evaluated is None \
-                else np.asarray(evaluated, dtype=bool).copy()
-            if mask.shape != (n,):
-                raise UsageError(f"evaluated mask must have shape ({n},)")
+        f = np.atleast_2d(np.asarray(f, dtype=float))
+        if f.shape[0] != x.shape[0]:
+            raise UsageError(
+                f"objective matrix has {f.shape[0]} rows for {x.shape[0]} individuals")
         self.x = _readonly(x)
         self.f = _readonly(f)
-        mask.flags.writeable = False
-        self.evaluated = mask
-
-    @classmethod
-    def unevaluated(cls, x: np.ndarray, n_obj: int) -> "Population":
-        return cls(x, n_obj=n_obj)
 
     @property
     def n_var(self) -> int:
@@ -232,14 +213,7 @@ class Population:
         return self.f.shape[1]
 
     @property
-    def all_evaluated(self) -> bool:
-        return bool(self.evaluated.all())
-
-    @property
     def objectives(self) -> np.ndarray:
-        """Objective matrix; usage error if any member is unevaluated."""
-        if not self.all_evaluated:
-            raise UsageError("population contains unevaluated members")
         return self.f
 
     def __len__(self) -> int:
@@ -247,11 +221,10 @@ class Population:
 
     def take(self, indices) -> "Population":
         idx = np.asarray(indices, dtype=int)
-        return Population(self.x[idx], self.f[idx], evaluated=self.evaluated[idx])
+        return Population(self.x[idx], self.f[idx])
 
     def __repr__(self) -> str:
-        done = int(self.evaluated.sum())
-        return f"Population(n={len(self)}, n_var={self.n_var}, evaluated={done}/{len(self)})"
+        return f"Population(n={len(self)}, n_var={self.n_var}, n_obj={self.n_obj})"
 
 
 def concat(*populations: Population) -> Population:
@@ -265,10 +238,8 @@ def concat(*populations: Population) -> Population:
             raise ConfigurationError(
                 f"cannot concat populations with shapes ({n_var},{n_obj}) and "
                 f"({p.n_var},{p.n_obj})")
-    x = np.vstack([p.x for p in populations])
-    f = np.vstack([p.f for p in populations])
-    mask = np.concatenate([p.evaluated for p in populations])
-    return Population(x, f, evaluated=mask)
+    return Population(np.vstack([p.x for p in populations]),
+                      np.vstack([p.f for p in populations]))
 
 
 def merge_dedupe(a: Population, b: Population) -> tuple[Population, np.ndarray]:
@@ -278,48 +249,31 @@ def merge_dedupe(a: Population, b: Population) -> tuple[Population, np.ndarray]:
     first occurrence wins (all of `a` first, then `b`).  Also returns the
     indices of the dropped rows into concat(a, b), in ascending order.
     """
-    if a.n_var != b.n_var or a.n_obj != b.n_obj:
-        raise ConfigurationError(
-            f"cannot merge populations with shapes ({a.n_var},{a.n_obj}) and "
-            f"({b.n_var},{b.n_obj})")
-    x = np.vstack([a.x, b.x])
+    both = concat(a, b)
     seen: set[bytes] = set()
     keep: list[int] = []
     dropped: list[int] = []
-    for i in range(x.shape[0]):
-        key = x[i].tobytes()
+    for i, row in enumerate(both.x):
+        key = row.tobytes()
         if key in seen:
             dropped.append(i)
         else:
             seen.add(key)
             keep.append(i)
-    f = np.vstack([a.f, b.f])
-    mask = np.concatenate([a.evaluated, b.evaluated])
-    return (Population(x[keep], f[keep], evaluated=mask[keep]),
-            np.asarray(dropped, dtype=int))
+    return both.take(keep), np.asarray(dropped, dtype=int)
+
+
+def evaluate(problem: ProblemSpec, x: np.ndarray, budget: RunBudget) -> Population:
+    """Evaluate decision vectors into a population, charging one FE per row."""
+    f = problem.evaluate_batch(x)
+    budget.charge(f.shape[0])
+    return Population(x, f)
 
 
 def initialize_population(problem: ProblemSpec, n: int,
                           rng: np.random.Generator, budget: RunBudget) -> Population:
-    """Uniform random population within bounds, fully evaluated (charges n FEs)."""
+    """Uniform random population within bounds, with objectives (charges n FEs)."""
     if n < 1:
         raise ConfigurationError(f"population size must be >= 1, got {n}")
     x = rng.uniform(problem.lower, problem.upper, size=(n, problem.n_var))
-    return evaluate_all(Population.unevaluated(x, problem.n_obj), problem, budget)
-
-
-def evaluate_all(pop: Population, problem: ProblemSpec, budget: RunBudget) -> Population:
-    """Evaluate every not-yet-evaluated member, charging the budget once per member."""
-    pending = ~pop.evaluated
-    k = int(pending.sum())
-    if k == 0:
-        return pop
-    if pop.n_var != problem.n_var or pop.n_obj != problem.n_obj:
-        raise UsageError(
-            f"population shape ({pop.n_var},{pop.n_obj}) does not match problem "
-            f"{problem.name} ({problem.n_var},{problem.n_obj})")
-    fx = problem.evaluate_batch(pop.x[pending])
-    f = pop.f.copy()
-    f[pending] = fx
-    budget.charge(k)
-    return Population(pop.x, f)
+    return evaluate(problem, x, budget)

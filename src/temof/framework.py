@@ -10,7 +10,7 @@ is re-selected from the deduplicated union of both sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .core import (ConfigurationError, Population, ProblemSpec, RngKey, RunBudget,
@@ -74,23 +74,11 @@ class GenerationRecord:
     fes_after: int
 
 
-@dataclass
-class RunTrace:
-    """Per-generation records of a framework run."""
-
-    records: list[GenerationRecord] = field(default_factory=list)
-
-    def append(self, record: GenerationRecord) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+class RunTrace(list):
+    """Per-generation records (GenerationRecord) of a framework run."""
 
     def archive_generations(self) -> int:
-        return sum(1 for r in self.records if r.source is MatingSource.ARCHIVE)
+        return sum(1 for r in self if r.source is MatingSource.ARCHIVE)
 
 
 @dataclass

@@ -207,6 +207,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if required not in raw:
             raise ConfigurationError(f"config is missing required key {required!r}")
 
+    def coerce(kind, value, key):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"config key {key!r} must be {kind.__name__}, got {value!r}") from None
+
+    def listed(key):
+        if not isinstance(raw[key], list):
+            raise ConfigurationError(f"config key {key!r} must be a list, got {raw[key]!r}")
+        return raw[key]
+
     def build(cls, item, what):
         if isinstance(item, str):
             item = {"name": item}
@@ -214,43 +226,40 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigurationError(f"each {what} must be a name or an object, got {item!r}")
         try:
             return cls(**item)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad {what} entry {item!r}: {exc}") from None
 
-    problems = tuple(build(ProblemSelection, p, "problem") for p in raw["problems"])
-    algorithms = tuple(build(AlgorithmSpec, a, "algorithm") for a in raw["algorithms"])
+    problems = tuple(build(ProblemSelection, p, "problem") for p in listed("problems"))
+    algorithms = tuple(build(AlgorithmSpec, a, "algorithm") for a in listed("algorithms"))
     seeds_raw = raw["seeds"]
-    master_seed = int(raw.get("master_seed", 0))
+    master_seed = coerce(int, raw.get("master_seed", 0), "master_seed")
     if isinstance(seeds_raw, dict):
         unknown = set(seeds_raw) - {"master_seed", "n_runs"}
         if unknown:
             raise ConfigurationError(f"unknown seeds keys: {sorted(unknown)}")
         if "n_runs" not in seeds_raw:
             raise ConfigurationError("seeds object needs n_runs")
-        n_runs = int(seeds_raw["n_runs"])
+        n_runs = coerce(int, seeds_raw["n_runs"], "n_runs")
         if n_runs < 1:
             raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
-        master_seed = int(seeds_raw.get("master_seed", master_seed))
+        master_seed = coerce(int, seeds_raw.get("master_seed", master_seed), "master_seed")
         seeds = tuple(range(n_runs))
     elif isinstance(seeds_raw, (list, tuple)):
-        seeds = tuple(int(s) for s in seeds_raw)
+        seeds = tuple(coerce(int, s, "seeds") for s in seeds_raw)
     else:
         raise ConfigurationError(
             "seeds must be a list of ints or {master_seed, n_runs}")
     kwargs = {}
-    for key in ("metrics",):
+    if "metrics" in raw:
+        kwargs["metrics"] = tuple(listed("metrics"))
+    for key, kind in (("indicator_target", str), ("output_dir", str),
+                      ("igd_reference_size", int), ("hv_mc_samples", int),
+                      ("hv_ref_scale", float)):
         if key in raw:
-            kwargs[key] = tuple(raw[key])
-    for key in ("indicator_target", "output_dir"):
-        if key in raw:
-            kwargs[key] = str(raw[key])
-    for key in ("igd_reference_size", "hv_mc_samples"):
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    if "hv_ref_scale" in raw:
-        kwargs["hv_ref_scale"] = float(raw["hv_ref_scale"])
+            kwargs[key] = coerce(kind, raw[key], key)
     return ExperimentConfig(problems=problems, algorithms=algorithms, seeds=seeds,
-                            n=int(raw["n"]), max_fes=int(raw["max_fes"]),
+                            n=coerce(int, raw["n"], "n"),
+                            max_fes=coerce(int, raw["max_fes"], "max_fes"),
                             master_seed=master_seed, **kwargs)
 
 
@@ -381,6 +390,10 @@ def run_matrix(config: ExperimentConfig, workers: int | None = None,
                 f"{out} already holds results for a different configuration "
                 f"(fingerprint {meta.get('fingerprint')!r} != {fingerprint!r}); "
                 f"choose another output_dir")
+        if meta.get("package_version") != __version__:
+            raise ConfigurationError(
+                f"{out} holds results of temof {meta.get('package_version')!r}, "
+                f"not of this version {__version__!r}; choose another output_dir")
     else:
         meta = {"fingerprint": fingerprint, "config": config.to_dict(),
                 "package_version": __version__,
@@ -403,7 +416,8 @@ def run_matrix(config: ExperimentConfig, workers: int | None = None,
     failures: list[dict] = []
     total = len(tasks)
     done = 0
-    new_header = not runs_path.exists()
+    # an empty file (killed before the header flush, or touched) needs the header too
+    new_header = not runs_path.exists() or runs_path.stat().st_size == 0
     with runs_path.open("a", newline="") as fh:
         writer = csv.writer(fh)
         if new_header:

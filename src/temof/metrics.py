@@ -14,7 +14,7 @@ from scipy.spatial.distance import cdist
 from .core import UsageError, rng_stream
 
 MC_DEFAULT_SAMPLES = 1_000_000
-_MC_CHUNK = 65_536
+_MC_CHUNK_BYTES = 8 * 2**20  # working memory of one Monte Carlo chunk
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,15 @@ def _hv_monte_carlo(points: np.ndarray, ref: np.ndarray, samples: int,
                     rng: np.random.Generator) -> float:
     lo = points.min(axis=0)
     box = np.prod(ref - lo)
+    n, m = points.shape
+    # a sample row costs m float64 coordinates plus n * m comparison booleans;
+    # the generator fills in order, so the chunk size never changes the value
+    rows = max(1, _MC_CHUNK_BYTES // (m * (n + 8)))
     hits = 0
     remaining = samples
     while remaining > 0:
-        k = min(_MC_CHUNK, remaining)
-        draw = rng.uniform(lo, ref, size=(k, points.shape[1]))
+        k = min(rows, remaining)
+        draw = rng.uniform(lo, ref, size=(k, m))
         covered = (draw[:, None, :] >= points[None, :, :]).all(axis=2).any(axis=1)
         hits += int(covered.sum())
         remaining -= k

@@ -184,6 +184,27 @@ def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray
     return picked
 
 
+def _fill(pop: Population, selected: np.ndarray, critical: np.ndarray | None, n: int,
+          refs: ReferencePointSet, state: NormalizationState,
+          rng: np.random.Generator) -> Population:
+    """Take the selected members, then niche the rest of n from the critical front.
+
+    Normalization runs over every member considered, so the running ideal
+    advances even when nothing is niched.  Niche counts start from the
+    selected members' associations.
+    """
+    if critical is None:
+        normalize(pop.f[selected], state)
+        return pop.take(selected)
+    normalized, _ = normalize(pop.f[np.concatenate([selected, critical])], state)
+    assoc, dist = associate(normalized, refs)
+    k = selected.size
+    rho = np.bincount(assoc[:k], minlength=len(refs)).astype(float)
+    picks = _niche_select(rho, assoc[k:], dist[k:], n - k, rng)
+    chosen = critical[np.sort(np.asarray(picks, dtype=int))]
+    return pop.take(np.concatenate([selected, chosen]))
+
+
 def environmental_selection(pop: Population, n: int, refs: ReferencePointSet,
                             state: NormalizationState,
                             rng: np.random.Generator) -> Population:
@@ -194,35 +215,17 @@ def environmental_selection(pop: Population, n: int, refs: ReferencePointSet,
     """
     if n < 1:
         raise UsageError(f"selection size must be >= 1, got {n}")
-    objs = pop.objectives
-    if len(pop) <= n:
-        normalize(objs, state)
-        return pop
-    fronts = sort_fronts(objs)
-    chosen: list[np.ndarray] = []
-    total = 0
-    critical = None
-    for front in fronts:
-        if total + front.size <= n:
-            chosen.append(front)
-            total += front.size
-            if total == n:
+    selected, critical = np.arange(len(pop)), None
+    if len(pop) > n:
+        selected = np.empty(0, dtype=int)
+        for front in sort_fronts(pop.f):
+            if selected.size + front.size > n:
+                critical = front
                 break
-        else:
-            critical = front
-            break
-    selected = np.concatenate(chosen) if chosen else np.empty(0, dtype=int)
-    if total == n or critical is None:
-        normalize(objs[selected], state)
-        return pop.take(selected)
-    considered = np.concatenate([selected, critical])
-    normalized, _ = normalize(objs[considered], state)
-    assoc, dist = associate(normalized, refs)
-    n_sel = selected.size
-    rho = np.bincount(assoc[:n_sel], minlength=len(refs)).astype(float)
-    picks = _niche_select(rho, assoc[n_sel:], dist[n_sel:], n - n_sel, rng)
-    final = np.concatenate([selected, critical[np.sort(np.asarray(picks, dtype=int))]])
-    return pop.take(final)
+            selected = np.concatenate([selected, front])
+            if selected.size == n:
+                break
+    return _fill(pop, selected, critical, n, refs, state, rng)
 
 
 def first_front_selection(pop: Population, n: int, refs: ReferencePointSet,
@@ -235,16 +238,10 @@ def first_front_selection(pop: Population, n: int, refs: ReferencePointSet,
     """
     if n < 1:
         raise UsageError(f"selection size must be >= 1, got {n}")
-    objs = pop.objectives
-    first = sort_fronts(objs)[0]
+    first = sort_fronts(pop.f)[0]
     if first.size <= n:
-        normalize(objs[first], state)
-        return pop.take(first)
-    normalized, _ = normalize(objs[first], state)
-    assoc, dist = associate(normalized, refs)
-    rho = np.zeros(len(refs))
-    picks = _niche_select(rho, assoc, dist, n, rng)
-    return pop.take(first[np.sort(np.asarray(picks, dtype=int))])
+        return _fill(pop, first, None, n, refs, state, rng)
+    return _fill(pop, np.empty(0, dtype=int), first, n, refs, state, rng)
 
 
 class Nsga3Base:
@@ -261,8 +258,6 @@ class Nsga3Base:
             raise ConfigurationError(
                 f"population size {n} is below n_obj={problem.n_obj}; "
                 f"reference directions cannot be built")
-        self.problem = problem
-        self.n = n
         self.refs = reference_points_for(n, problem.n_obj)
         self.state = NormalizationState()
         self.rng = rng

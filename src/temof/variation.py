@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigurationError, Population, ProblemSpec, RunBudget,
-                   UsageError, evaluate_all)
+                   UsageError, evaluate)
 
 
 @dataclass(frozen=True)
@@ -106,5 +106,4 @@ def generate_offspring(source: Population, n: int, params: VariationParams,
                        params, problem.lower, problem.upper, rng)
     children = np.vstack([c1, c2])[:n]
     children = mutate_batch(children, params, problem.lower, problem.upper, rng)
-    off = Population.unevaluated(children, problem.n_obj)
-    return evaluate_all(off, problem, budget)
+    return evaluate(problem, children, budget)

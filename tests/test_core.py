@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from temof import (ConfigurationError, EvaluationError, Population, ProblemSpec,
-                   RngKey, RunBudget, UsageError, concat, evaluate_all,
+                   RngKey, RunBudget, UsageError, concat,
                    initialize_population, merge_dedupe, rng_stream)
+from temof.core import evaluate
 
 
 def sphere_problem(n_var=4, n_obj=2):
@@ -106,15 +107,13 @@ class TestRunBudget:
 
 class TestPopulation:
     def test_evaluated_construction(self):
-        pop = Population(np.zeros((3, 2)), np.ones((3, 2)))
-        assert len(pop) == 3 and pop.all_evaluated
-        assert np.array_equal(pop.objectives, np.ones((3, 2)))
+        pop = Population(np.zeros((3, 2)), np.ones((3, 4)))
+        assert len(pop) == 3 and pop.n_var == 2 and pop.n_obj == 4
+        assert np.array_equal(pop.objectives, np.ones((3, 4)))
 
-    def test_unevaluated_construction(self):
-        pop = Population.unevaluated(np.zeros((3, 2)), n_obj=4)
-        assert pop.n_obj == 4 and not pop.all_evaluated
-        with pytest.raises(UsageError):
-            pop.objectives
+    def test_objectives_required(self):
+        with pytest.raises(TypeError):
+            Population(np.zeros((3, 2)))
 
     def test_arrays_are_readonly(self):
         pop = Population(np.zeros((2, 2)), np.ones((2, 2)))
@@ -144,10 +143,11 @@ class TestPopulation:
 class TestConcatAndMerge:
     def test_concat(self):
         a = Population(np.zeros((2, 2)), np.zeros((2, 3)))
-        b = Population.unevaluated(np.ones((1, 2)), 3)
+        b = Population(np.ones((1, 2)), np.ones((1, 3)))
         c = concat(a, b)
         assert len(c) == 3
-        assert list(c.evaluated) == [True, True, False]
+        assert np.array_equal(c.x, [[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        assert np.array_equal(c.f[:, 0], [0.0, 0.0, 1.0])
 
     def test_concat_dim_mismatch(self):
         a = Population(np.zeros((2, 2)), np.zeros((2, 3)))
@@ -212,22 +212,18 @@ class TestInitializeAndEvaluate:
             initialize_population(sphere_problem(), 0, rng_stream(0, 0, "init"),
                                   RunBudget(10))
 
-    def test_evaluates_only_pending_members(self):
+    def test_evaluate_charges_one_fe_per_row(self):
         p = sphere_problem()
-        # wrong objectives on purpose: they must survive, proving no re-evaluation
-        done = Population(np.full((4, 4), 0.5), np.full((4, 2), -123.0))
-        todo = Population.unevaluated(np.full((6, 4), 0.25), 2)
+        x = rng_stream(5, 0, "init").random((6, 4))
         budget = RunBudget(100)
-        out = evaluate_all(concat(done, todo), p, budget)
-        assert budget.fes == 6
-        assert out.all_evaluated
-        assert np.array_equal(out.f[:4], np.full((4, 2), -123.0))
-        expected = p.evaluate_batch(np.full((6, 4), 0.25))
-        assert np.array_equal(out.f[4:], expected)
+        budget.charge(3)
+        out = evaluate(p, x, budget)
+        assert budget.fes == 3 + 6
+        assert np.array_equal(out.x, x)
+        assert np.array_equal(out.f, p.evaluate_batch(x))
 
-    def test_noop_on_fully_evaluated(self):
-        p = sphere_problem()
-        pop = Population(np.full((3, 4), 0.5), np.zeros((3, 2)))
-        budget = RunBudget(10)
-        out = evaluate_all(pop, p, budget)
-        assert budget.fes == 0 and out is pop
+    def test_evaluate_rejects_wrong_width(self):
+        budget = RunBudget(100)
+        with pytest.raises(UsageError):
+            evaluate(sphere_problem(), np.zeros((2, 3)), budget)
+        assert budget.fes == 0

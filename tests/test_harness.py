@@ -119,6 +119,23 @@ class TestConfigFromDict:
             config_from_dict({"problems": ["ZDT1"], "algorithms": ["nsga3"],
                               "seeds": [0], "n": 10})
 
+    @pytest.mark.parametrize("key, value", [
+        ("n", "twenty"), ("max_fes", None), ("master_seed", [1]),
+        ("hv_ref_scale", "wide"), ("seeds", [0, "x"])])
+    def test_uncoercible_value_names_its_key(self, key, value):
+        raw = {"problems": ["ZDT1"], "algorithms": ["nsga3"], "seeds": [0],
+               "n": 10, "max_fes": 100, key: value}
+        with pytest.raises(ConfigurationError, match=f"config key '{key}'"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("key", ["problems", "algorithms", "metrics"])
+    def test_names_must_come_as_a_list(self, key):
+        raw = {"problems": ["ZDT1"], "algorithms": ["nsga3"], "seeds": [0],
+               "n": 10, "max_fes": 100, "metrics": ["IGD"]}
+        raw[key] = raw[key][0]
+        with pytest.raises(ConfigurationError, match=f"'{key}' must be a list"):
+            config_from_dict(raw)
+
     def test_fingerprint_ignores_output_dir(self, tmp_path):
         base = {"problems": ["ZDT1"], "algorithms": ["nsga3"], "seeds": [0],
                 "n": 10, "max_fes": 100}
@@ -185,6 +202,25 @@ class TestRunMatrix:
         for a, b in zip(full, again):  # identical apart from timing
             a.pop("wall_ms"), b.pop("wall_ms")
             assert a == b
+
+    def test_empty_runs_file_gets_a_header(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out", seeds=(0,), metrics=("IGD",))
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "runs.csv").touch()  # as left by a kill before the header
+        records = run_matrix(cfg)
+        assert len(records) == 2
+        assert len(load_records(tmp_path / "out")) == 2
+        assert len(run_matrix(cfg)) == 2  # and the resume reads it back
+
+    def test_resume_across_versions_rejected(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out", seeds=(0,), metrics=("IGD",))
+        run_matrix(cfg)
+        meta_path = tmp_path / "out" / "metadata.json"
+        meta = json.loads(meta_path.read_text())
+        meta["package_version"] = "0.0.0"
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ConfigurationError, match="0.0.0"):
+            run_matrix(cfg)
 
     def test_conflicting_directory_rejected(self, tmp_path):
         run_matrix(tiny_config(tmp_path / "out"))
@@ -425,6 +461,26 @@ class TestCli:
     def test_run_flag_validation(self, capsys):
         assert cli_main(["run", "--problem", "ZDT1"]) == 2
         assert "needs either --config" in capsys.readouterr().err
+
+    def test_run_config_with_bad_value(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problems": ["ZDT1"], "algorithms": ["nsga3"],
+                                    "seeds": [0], "n": "twenty", "max_fes": 50}))
+        assert cli_main(["run", "--config", str(path), "--quiet"]) == 2
+        assert "error: config key 'n'" in capsys.readouterr().err
+
+    def test_run_config_with_problems_as_a_string(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problems": "ZDT1", "algorithms": ["nsga3"],
+                                    "seeds": [0], "n": 10, "max_fes": 50}))
+        assert cli_main(["run", "--config", str(path), "--quiet"]) == 2
+        assert "'problems' must be a list" in capsys.readouterr().err
+
+    def test_run_bad_seed_list(self, tmp_path, capsys):
+        rc = cli_main(["run", "--problem", "ZDT1", "--algo", "nsga3", "--seed-list", "0,x",
+                       "--n", "10", "--max-fes", "50", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error: --seed-list" in capsys.readouterr().err
 
     def test_bad_config_path(self, capsys):
         assert cli_main(["run", "--config", "/nonexistent.json"]) == 2

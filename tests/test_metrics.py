@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import temof.metrics as metrics
 from temof import UsageError, gd, hv, igd
 
 
@@ -127,6 +128,12 @@ class TestHvMonteCarlo:
         b = hv(pts, [1.1] * 4, samples=20_000, rng=np.random.default_rng(2)).value
         assert a != b
         assert abs(a - b) / a < 0.05
+
+    def test_chunk_budget_does_not_change_value(self, monkeypatch):
+        pts = np.random.default_rng(4).random((30, 5))
+        expected = hv(pts, [1.1] * 5, samples=50_000).value
+        monkeypatch.setattr(metrics, "_MC_CHUNK_BYTES", 997)  # 5-row chunks
+        assert hv(pts, [1.1] * 5, samples=50_000).value == expected
 
     def test_forced_monte_carlo_on_2d_near_exact(self):
         pts = [[0.25, 0.75], [0.75, 0.25]]

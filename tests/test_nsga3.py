@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -182,12 +183,6 @@ class TestEnvironmentalSelection:
             out = environmental_selection(pop, n, refs, NormalizationState(), rng)
             assert len(out) == min(n, 37)
 
-    def test_unevaluated_rejected(self):
-        pop = Population.unevaluated(np.zeros((3, 2)), 2)
-        with pytest.raises(UsageError):
-            environmental_selection(pop, 2, das_dennis(2, 2),
-                                    NormalizationState(), np.random.default_rng(0))
-
     def test_determinism(self):
         rng = np.random.default_rng(10)
         f = rng.random((60, 3))
@@ -222,6 +217,27 @@ class TestFirstFrontSelection:
         out = first_front_selection(Population(np.zeros((50, 3)), f), 20,
                                     das_dennis(3, 4), NormalizationState(), rng)
         assert len(sort_fronts(out.objectives)) == 1
+
+    @pytest.mark.parametrize("n", [30, 8])  # first front of 20: smaller, then larger
+    def test_equals_environmental_selection_of_first_front(self, n):
+        rng = np.random.default_rng(21)
+        theta = rng.random(20) * np.pi / 2
+        front = np.column_stack([np.cos(theta), np.sin(theta)])
+        f = np.vstack([front * 1.5, front])  # the second half is the first front
+        pop = Population(np.arange(80, dtype=float).reshape(40, 2), f)
+        refs = das_dennis(2, 5)
+        state = NormalizationState()
+        normalize(np.array([[0.2, 1.4], [1.3, 0.3]]), state)
+        niche_rng = np.random.default_rng(5)
+        state2, rng2 = copy.deepcopy(state), copy.deepcopy(niche_rng)
+        out = first_front_selection(pop, n, refs, state, niche_rng)
+        first = pop.take(sort_fronts(pop.f)[0])
+        expected = environmental_selection(first, n, refs, state2, rng2)
+        assert len(out) == min(n, 20)
+        assert np.array_equal(out.x, expected.x) and np.array_equal(out.f, expected.f)
+        assert np.array_equal(state.ideal, state2.ideal)
+        assert np.array_equal(state.intercepts, state2.intercepts)
+        assert niche_rng.random() == rng2.random()
 
 
 class TestNsga3Base:

@@ -159,7 +159,7 @@ class TestGenerateOffspring:
             off = generate_offspring(pop, n, VariationParams(), problem, budget,
                                      np.random.default_rng(1))
             assert len(off) == n
-            assert off.all_evaluated
+            assert np.array_equal(off.f, problem.evaluate_batch(off.x))
             assert (off.x >= 0).all() and (off.x <= 1).all()
         assert budget.fes == 19
 
