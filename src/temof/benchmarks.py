@@ -260,7 +260,7 @@ def default_dimensions(name: str) -> tuple[int, int]:
 
 def make_problem(name: str, n_var: int | None = None, n_obj: int | None = None) -> ProblemSpec:
     """Instantiate a benchmark by name with optional dimension overrides."""
-    key = name.upper()
+    key = str(name).upper()  # a non-string name is reported as unknown below
     if key in _DTLZ_EVALS:
         m = 3 if n_obj is None else int(n_obj)
         if m < 2:

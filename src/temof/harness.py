@@ -18,7 +18,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -207,30 +207,46 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if required not in raw:
             raise ConfigurationError(f"config is missing required key {required!r}")
 
-    def coerce(kind, value, key):
+    def coerce(kind, value, key, where="config key"):
+        message = f"{where} {key!r} must be {kind.__name__}, got {value!r}"
+        # int() would truncate 10.9 to 10 and take a bool, float() a bool, str() a null
+        if (value is None or (kind is not str and isinstance(value, bool))
+                or (kind is int and isinstance(value, float) and not value.is_integer())):
+            raise ConfigurationError(message)
         try:
             return kind(value)
         except (TypeError, ValueError):
-            raise ConfigurationError(
-                f"config key {key!r} must be {kind.__name__}, got {value!r}") from None
+            raise ConfigurationError(message) from None
 
     def listed(key):
         if not isinstance(raw[key], list):
             raise ConfigurationError(f"config key {key!r} must be a list, got {raw[key]!r}")
         return raw[key]
 
-    def build(cls, item, what):
+    def build(cls, item, what, kinds):
         if isinstance(item, str):
             item = {"name": item}
         if not isinstance(item, dict):
             raise ConfigurationError(f"each {what} must be a name or an object, got {item!r}")
+        # convert so that a bad value names its field; None stays in fields that default to it
+        optional = {f.name for f in fields(cls) if f.default is None}
+        values = dict(item)
+        for key, kind in kinds.items():
+            if key in values and not (values[key] is None and key in optional):
+                values[key] = coerce(kind, values[key], key, f"{what} field")
         try:
-            return cls(**item)
+            return cls(**values)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"bad {what} entry {item!r}: {exc}") from None
 
-    problems = tuple(build(ProblemSelection, p, "problem") for p in listed("problems"))
-    algorithms = tuple(build(AlgorithmSpec, a, "algorithm") for a in listed("algorithms"))
+    problems = tuple(
+        build(ProblemSelection, p, "problem", {"label": str, "n_var": int, "n_obj": int})
+        for p in listed("problems"))
+    algorithms = tuple(
+        build(AlgorithmSpec, a, "algorithm",
+              {"label": str, "p": float, "stage_fraction": float, "pc": float,
+               "eta_c": float, "pm": float, "eta_m": float})
+        for a in listed("algorithms"))
     seeds_raw = raw["seeds"]
     master_seed = coerce(int, raw.get("master_seed", 0), "master_seed")
     if isinstance(seeds_raw, dict):

@@ -160,17 +160,21 @@ def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray
     n_refs = rho.shape[0]
     # per reference: critical members ordered by distance, nearest first
     members: list[list[int]] = [[] for _ in range(n_refs)]
-    by_dist = np.argsort(crit_dist, kind="stable")
-    for i in by_dist:
-        members[crit_assoc[i]].append(int(i))
+    assoc = crit_assoc.tolist()
+    for i in np.argsort(crit_dist, kind="stable").tolist():
+        members[assoc[i]].append(i)
     rho = rho.astype(float).copy()
     picked: list[int] = []
+    # references at the lowest niche count, ascending; a visit lifts j out of
+    # this level, so the level is rescanned only once it is used up
+    ties: list[int] = []
     while len(picked) < k:
-        low = rho.min()
-        if not np.isfinite(low):
-            raise UsageError("niching ran out of candidates before filling the slots")
-        ties = np.flatnonzero(rho == low)
-        j = int(ties[rng.integers(ties.size)])
+        if not ties:
+            low = rho.min()
+            if not np.isfinite(low):
+                raise UsageError("niching ran out of candidates before filling the slots")
+            ties = np.flatnonzero(rho == low).tolist()
+        j = ties.pop(int(rng.integers(len(ties))))
         bucket = members[j]
         if not bucket:
             rho[j] = np.inf  # niche exhausted, never revisit

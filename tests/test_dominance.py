@@ -3,6 +3,7 @@ import pytest
 
 from temof import (ConfigurationError, DominanceRelation, UsageError, dominates,
                    pareto_mask, sort_fronts)
+from temof.dominance import domination_matrix
 
 
 def peel_oracle(f):
@@ -24,6 +25,41 @@ def peel_oracle(f):
         gone = set(front)
         remaining = [i for i in remaining if i not in gone]
     return fronts
+
+
+def domination_matrix_oracle(f):
+    """domination_matrix as first written: reduce over the objective axis."""
+    f = np.atleast_2d(np.asarray(f, dtype=float))
+    le = (f[:, None, :] <= f[None, :, :]).all(axis=2)
+    lt = (f[:, None, :] < f[None, :, :]).any(axis=2)
+    return le & lt
+
+
+def pareto_mask_oracle(f):
+    """pareto_mask as first written: reduce over the objective axis per row."""
+    f = np.atleast_2d(np.asarray(f, dtype=float))
+    n = f.shape[0]
+    alive = np.ones(n, dtype=bool)
+    for i in range(n):
+        if not alive[i]:
+            continue
+        worse = (f >= f[i]).all(axis=1) & (f > f[i]).any(axis=1)
+        alive[worse] = False
+    return alive
+
+
+def tied_instances(seed):
+    """Random objective matrices for M = 2..10 with duplicate rows and ties."""
+    rng = np.random.default_rng(seed)
+    for m in range(2, 11):
+        for decimals in (1, 2, None):
+            n = int(rng.integers(1, 60))
+            f = rng.random((n, m))
+            if decimals is not None:  # coarse grids tie many coordinates
+                f = np.round(f, decimals)
+            if n > 3:
+                f[rng.integers(n, size=n // 3)] = f[rng.integers(n, size=n // 3)]
+            yield f
 
 
 class TestDominates:
@@ -102,7 +138,23 @@ class TestSortFronts:
                 assert np.array_equal(np.sort(g), np.sort(w))
 
 
+class TestDominationMatrix:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_oracle(self, seed):
+        for f in tied_instances(seed):
+            assert np.array_equal(domination_matrix(f), domination_matrix_oracle(f))
+
+    def test_single_row_and_single_objective(self):
+        for f in ([[1.0, 2.0]], [[3.0], [1.0], [1.0]]):
+            assert np.array_equal(domination_matrix(f), domination_matrix_oracle(f))
+
+
 class TestParetoMask:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_oracle(self, seed):
+        for f in tied_instances(seed):
+            assert np.array_equal(pareto_mask(f), pareto_mask_oracle(f))
+
     def test_matches_first_front(self):
         rng = np.random.default_rng(7)
         for _ in range(20):

@@ -121,12 +121,58 @@ class TestConfigFromDict:
 
     @pytest.mark.parametrize("key, value", [
         ("n", "twenty"), ("max_fes", None), ("master_seed", [1]),
-        ("hv_ref_scale", "wide"), ("seeds", [0, "x"])])
+        ("hv_ref_scale", "wide"), ("seeds", [0, "x"]), ("output_dir", None)])
     def test_uncoercible_value_names_its_key(self, key, value):
         raw = {"problems": ["ZDT1"], "algorithms": ["nsga3"], "seeds": [0],
                "n": 10, "max_fes": 100, key: value}
         with pytest.raises(ConfigurationError, match=f"config key '{key}'"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("seeds", [1.9, 2.7], "seeds"), ("n", 10.9, "n"), ("max_fes", 100.5, "max_fes"),
+        ("n", True, "n"), ("master_seed", 0.5, "master_seed"),
+        ("igd_reference_size", 2000.5, "igd_reference_size"),
+        ("hv_mc_samples", False, "hv_mc_samples"), ("seeds", {"n_runs": 2.5}, "n_runs"),
+        ("seeds", {"n_runs": 2, "master_seed": True}, "master_seed")])
+    def test_inexact_int_names_its_key(self, key, value, named):
+        raw = {"problems": ["ZDT1"], "algorithms": ["nsga3"], "seeds": [0],
+               "n": 10, "max_fes": 100, key: value}
+        with pytest.raises(ConfigurationError, match=f"config key '{named}' must be int"):
+            config_from_dict(raw)
+
+    def test_integral_float_is_an_int(self):
+        cfg = config_from_dict({"problems": ["ZDT1"], "algorithms": ["nsga3"],
+                                "seeds": [1.0, 2], "n": 10.0, "max_fes": 1e2})
+        assert (cfg.seeds, cfg.n, cfg.max_fes) == ((1, 2), 10, 100)
+        assert all(type(v) is int for v in (*cfg.seeds, cfg.n, cfg.max_fes))
+
+    @pytest.mark.parametrize("what, entry, field", [
+        ("algorithm", {"name": "nsga3", "pm": "x"}, "pm"),
+        ("algorithm", {"name": "temof-nsga3", "p": "half"}, "p"),
+        ("algorithm", {"name": "nsga3", "eta_c": True}, "eta_c"),
+        ("algorithm", {"name": "nsga3", "pc": None}, "pc"),
+        ("problem", {"name": "DTLZ2", "n_obj": 3.5}, "n_obj"),
+        ("problem", {"name": "DTLZ2", "n_var": "many"}, "n_var")])
+    def test_entry_field_names_itself(self, what, entry, field):
+        raw = {"problems": ["ZDT1"], "algorithms": ["nsga3"], "seeds": [0],
+               "n": 10, "max_fes": 100, f"{what}s": [entry]}
+        with pytest.raises(ConfigurationError, match=f"{what} field '{field}' must be"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("name", [None, 5])
+    def test_problem_name_must_be_known(self, name):
+        raw = {"problems": [{"name": name}], "algorithms": ["nsga3"], "seeds": [0],
+               "n": 10, "max_fes": 100}
+        with pytest.raises(ConfigurationError, match=f"unknown problem {name!r}"):
+            config_from_dict(raw)
+
+    def test_entry_fields_are_converted(self):
+        cfg = config_from_dict({
+            "problems": [{"name": "DTLZ2", "n_obj": "3", "n_var": None}],
+            "algorithms": [{"name": "nsga3", "pc": 1, "pm": None}],
+            "seeds": [0], "n": 10, "max_fes": 100})
+        assert cfg.problems[0].n_obj == 3 and cfg.problems[0].n_var is None
+        assert type(cfg.algorithms[0].pc) is float and cfg.algorithms[0].pm is None
 
     @pytest.mark.parametrize("key", ["problems", "algorithms", "metrics"])
     def test_names_must_come_as_a_list(self, key):

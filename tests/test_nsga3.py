@@ -9,7 +9,7 @@ from temof import (ConfigurationError, NormalizationState, Nsga3Base, Population
                    environmental_selection, first_front_selection, make_problem,
                    normalize, nsga3_run, reference_points_for, rng_stream,
                    sort_fronts)
-from temof.nsga3 import choose_divisions
+from temof.nsga3 import _niche_select, choose_divisions
 
 
 class TestDasDennis:
@@ -193,6 +193,84 @@ class TestEnvironmentalSelection:
         b = environmental_selection(pop, 25, refs, NormalizationState(),
                                     np.random.default_rng(77))
         assert np.array_equal(a.f, b.f)
+
+
+def niche_select_oracle(rho, crit_assoc, crit_dist, k, rng):
+    """_niche_select as first written: rescan the lowest level on every pick."""
+    n_refs = rho.shape[0]
+    # per reference: critical members ordered by distance, nearest first
+    members: list[list[int]] = [[] for _ in range(n_refs)]
+    by_dist = np.argsort(crit_dist, kind="stable")
+    for i in by_dist:
+        members[crit_assoc[i]].append(int(i))
+    rho = rho.astype(float).copy()
+    picked: list[int] = []
+    while len(picked) < k:
+        low = rho.min()
+        if not np.isfinite(low):
+            raise UsageError("niching ran out of candidates before filling the slots")
+        ties = np.flatnonzero(rho == low)
+        j = int(ties[rng.integers(ties.size)])
+        bucket = members[j]
+        if not bucket:
+            rho[j] = np.inf  # niche exhausted, never revisit
+            continue
+        if rho[j] == 0:
+            i = bucket.pop(0)  # nearest member of an empty niche
+        else:
+            i = bucket.pop(int(rng.integers(len(bucket))))
+        picked.append(i)
+        rho[j] += 1.0
+    return picked
+
+
+class TestNicheSelect:
+    @staticmethod
+    def check(rho, assoc, dist, k, seed=0):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rho = np.asarray(rho, dtype=float)
+        assoc, dist = np.asarray(assoc), np.asarray(dist, dtype=float)
+        got = _niche_select(rho.copy(), assoc, dist, k, rng)
+        assert got == niche_select_oracle(rho.copy(), assoc, dist, k, oracle_rng)
+        assert rng.random() == oracle_rng.random()  # same draws, in the same order
+        return got
+
+    def test_zero_counts_and_memberless_niches(self):
+        # ten empty niches, only 0, 2 and 4 have members: the rest go to inf
+        assoc = [0, 2, 4, 0, 2, 4, 0, 2]
+        dist = [0.5, 0.1, 0.3, 0.2, 0.1, 0.9, 0.7, 0.4]
+        for seed in range(10):
+            for k in (1, 3, 5, 8):
+                got = self.check(np.zeros(10), assoc, dist, k, seed)
+                assert set(got[:3]) <= {1, 2, 3}  # nearest of each empty niche first
+
+    def test_tie_levels_of_one(self):
+        for seed in range(10):  # distinct counts: the first levels hold one reference each
+            self.check(np.arange(6), [0, 1, 2, 3, 4, 5] * 3,
+                       np.linspace(1.0, 0.1, 18), 12, seed)
+
+    def test_whole_critical_front(self):
+        rng = np.random.default_rng(3)
+        for seed in range(10):
+            assoc = rng.integers(7, size=15)
+            got = self.check(rng.integers(0, 3, size=7), assoc, rng.random(15), 15, seed)
+            assert sorted(got) == list(range(15))
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(11)
+        for seed in range(200):
+            n_refs = int(rng.integers(1, 30))
+            size = int(rng.integers(1, 40))
+            assoc = rng.integers(n_refs, size=size)
+            dist = np.round(rng.random(size), 1)  # tied distances keep stable order
+            rho = rng.integers(0, 4, size=n_refs) * rng.integers(0, 2, size=n_refs)
+            self.check(rho, assoc, dist, int(rng.integers(1, size + 1)), seed)
+
+    def test_too_few_candidates(self):
+        for select in (_niche_select, niche_select_oracle):
+            with pytest.raises(UsageError, match="ran out"):
+                select(np.zeros(3), np.array([0, 1]), np.array([0.1, 0.2]), 3,
+                       np.random.default_rng(0))
 
 
 class TestFirstFrontSelection:
