@@ -1,4 +1,4 @@
-"""Two-stage co-evolutionary multi-objective optimization (TEMOF).
+"""Two-stage evolutionary multi-objective optimization (TEMOF).
 
 A population/archive framework wrapped around a reference-point base
 algorithm, with DTLZ/ZDT benchmarks, quality indicators, rank-based

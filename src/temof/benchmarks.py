@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .core import ConfigurationError, ProblemSpec, UnsupportedError, UsageError
+from .core import ConfigurationError, ProblemSpec, UnsupportedError
 from .dominance import pareto_mask
 from .nsga3 import das_dennis
 
@@ -204,14 +204,9 @@ def _front_points(family: str, m: int, count: int) -> np.ndarray:
     elif family == "ZDT3":
         f1 = np.linspace(0.0, 1.0, 16 * count)
         f2 = 1.0 - np.sqrt(f1) - f1 * np.sin(10.0 * np.pi * f1)
-        objs = np.column_stack([f1, f2])
-        keep = np.empty(objs.shape[0], dtype=bool)
-        best = np.inf
-        for i in range(objs.shape[0]):  # sorted by f1, keep strict f2 improvements
-            keep[i] = objs[i, 1] < best
-            if keep[i]:
-                best = objs[i, 1]
-        front = _subsample(objs[keep], count)
+        # sorted by f1, so the front keeps each point whose f2 beats every earlier one
+        keep = f2 < np.concatenate(([np.inf], np.minimum.accumulate(f2)[:-1]))
+        front = _subsample(np.column_stack([f1, f2])[keep], count)
     elif family == "ZDT6":
         res = minimize_scalar(
             lambda t: 1.0 - np.exp(-4.0 * t) * np.sin(6.0 * np.pi * t) ** 6,
@@ -299,6 +294,4 @@ def make_problem(name: str, n_var: int | None = None, n_obj: int | None = None) 
 
 def sample_true_front(problem: ProblemSpec, count: int) -> np.ndarray:
     """count points from the problem's analytic front."""
-    if count < 1:
-        raise UsageError(f"front sample count must be >= 1, got {count}")
     return problem.true_front(count)

@@ -29,7 +29,7 @@ from .metrics import MC_DEFAULT_SAMPLES, gd, hv, igd
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="temof",
-        description="Two-stage co-evolutionary framework experiments")
+        description="Two-stage evolutionary framework experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     bench = sub.add_parser("bench", help="benchmark problems")

@@ -1,4 +1,4 @@
-"""Two-stage co-evolutionary framework (TEMOF) wrapped around a base MOEA.
+"""Two-stage evolutionary framework (TEMOF) wrapped around a base MOEA.
 
 The framework maintains the base algorithm's population alongside a
 first-front archive.  Early on, offspring always come from the population;

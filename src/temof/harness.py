@@ -18,9 +18,10 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -52,7 +53,7 @@ WORKERS_ENV_VAR = "TEMOF_WORKERS"
 
 @dataclass(frozen=True)
 class ProblemSelection:
-    """One benchmark instance in the matrix; label defaults to the name."""
+    """One benchmark instance, named by its upper-case registry key; label defaults to it."""
 
     name: str
     n_var: int | None = None
@@ -65,18 +66,15 @@ class ProblemSelection:
             raise ConfigurationError(
                 f"{problem.name} with n_obj={problem.n_obj} has no true-front sampler, "
                 f"so its runs cannot be scored")
+        object.__setattr__(self, "name", problem.name)
 
     @property
     def key(self) -> str:
         if self.label:
             return self.label
         if self.n_var is None and self.n_obj is None:
-            return self.name.upper()
-        return f"{self.name.upper()}_{self.n_var or 'd'}x{self.n_obj or 'm'}"
-
-    def to_dict(self) -> dict:
-        return {"name": self.name.upper(), "n_var": self.n_var,
-                "n_obj": self.n_obj, "label": self.label}
+            return self.name
+        return f"{self.name}_{self.n_var or 'd'}x{self.n_obj or 'm'}"
 
 
 @dataclass(frozen=True)
@@ -110,14 +108,15 @@ class AlgorithmSpec:
     def variation(self) -> VariationParams:
         return VariationParams(pc=self.pc, eta_c=self.eta_c, pm=self.pm, eta_m=self.eta_m)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "label": self.label, "p": self.p,
-                "stage_fraction": self.stage_fraction, "pc": self.pc,
-                "eta_c": self.eta_c, "pm": self.pm, "eta_m": self.eta_m}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A problem x algorithm x seed matrix and how its runs are scored.
+
+    The field declarations are the JSON schema that config_from_dict reads,
+    and asdict(config) is what metadata.json records.
+    """
+
     problems: tuple[ProblemSelection, ...]
     algorithms: tuple[AlgorithmSpec, ...]
     seeds: tuple[int, ...]
@@ -148,6 +147,12 @@ class ExperimentConfig:
             raise ConfigurationError(f"algorithm labels are not unique: {labels}")
         if self.n < 2:
             raise ConfigurationError(f"population size must be >= 2, got {self.n}")
+        for problem in self.problems:  # the reference directions need n >= n_obj
+            n_obj = make_problem(problem.name, problem.n_var, problem.n_obj).n_obj
+            if self.n < n_obj:
+                raise ConfigurationError(
+                    f"population size {self.n} is below n_obj={n_obj} of problem "
+                    f"{problem.key}")
         if self.max_fes < self.n:
             raise ConfigurationError(
                 f"max_fes={self.max_fes} cannot be below the population size {self.n}")
@@ -167,116 +172,94 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"hv_ref_scale must exceed 1 so the reference point clears the "
                 f"front, got {self.hv_ref_scale}")
-
-    def to_dict(self, include_output_dir: bool = True) -> dict:
-        d = {
-            "problems": [p.to_dict() for p in self.problems],
-            "algorithms": [a.to_dict() for a in self.algorithms],
-            "seeds": list(self.seeds),
-            "master_seed": self.master_seed,
-            "n": self.n,
-            "max_fes": self.max_fes,
-            "metrics": list(self.metrics),
-            "indicator_target": self.indicator_target,
-            "igd_reference_size": self.igd_reference_size,
-            "hv_ref_scale": self.hv_ref_scale,
-            "hv_mc_samples": self.hv_mc_samples,
-        }
-        if include_output_dir:
-            d["output_dir"] = self.output_dir
-        return d
+        if self.hv_mc_samples < 1:
+            raise ConfigurationError(f"hv_mc_samples must be >= 1, got {self.hv_mc_samples}")
 
     def fingerprint(self) -> str:
         """Hash of everything that affects results (output_dir excluded)."""
-        payload = json.dumps(self.to_dict(include_output_dir=False),
-                             sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        payload = asdict(self)
+        del payload["output_dir"]
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _coerce(kind: type, value, key: str, where: str):
+    message = f"{where} {key!r} must be {kind.__name__}, got {value!r}"
+    # int() would truncate 10.9 to 10 and take a bool, float() a bool, str() a null
+    if (value is None or (kind is not str and isinstance(value, bool))
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
+        raise ConfigurationError(message)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(message) from None
+
+
+def _convert(cls, raw: dict, where: str) -> dict:
+    """raw with each value converted to its field's annotated type, naming a bad one.
+
+    None stays in fields that default to it; a name is left for the registry to check.
+    """
+    hints = get_type_hints(cls)
+    values = dict(raw)
+    for f in fields(cls):
+        value, hint = raw.get(f.name), hints[f.name]
+        if f.name not in raw or f.name == "name" or (value is None and f.default is None):
+            continue
+        kind = (get_args(hint) or (hint,))[0]  # int | None -> int, tuple[int, ...] -> int
+        if get_origin(hint) is not tuple:
+            values[f.name] = _coerce(kind, value, f.name, where)
+        elif not isinstance(value, list):
+            raise ConfigurationError(f"{where} {f.name!r} must be a list, got {value!r}")
+        elif is_dataclass(kind):
+            values[f.name] = tuple(_entry(kind, item, f.name[:-1]) for item in value)
+        else:
+            values[f.name] = tuple(_coerce(kind, item, f.name, where) for item in value)
+    return values
+
+
+def _entry(cls, item, what: str):
+    """One problem or algorithm entry: a name or an object of its fields."""
+    if isinstance(item, str):
+        item = {"name": item}
+    if not isinstance(item, dict):
+        raise ConfigurationError(f"each {what} must be a name or an object, got {item!r}")
+    values = _convert(cls, item, f"{what} field")
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad {what} entry {item!r}: {exc}") from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from parsed JSON, with keyword validation."""
+    """Build a config from parsed JSON, with keyword validation.
+
+    The keys are the fields of ExperimentConfig, and those without a default
+    are required.  seeds may also be {master_seed, n_runs}: seeds 0..n_runs-1.
+    """
     if not isinstance(raw, dict):
         raise ConfigurationError(f"config must be a JSON object, got {type(raw).__name__}")
-    known = {"problems", "algorithms", "seeds", "master_seed", "n", "max_fes",
-             "metrics", "indicator_target", "igd_reference_size", "hv_ref_scale",
-             "hv_mc_samples", "output_dir"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    for required in ("problems", "algorithms", "seeds", "n", "max_fes"):
-        if required not in raw:
-            raise ConfigurationError(f"config is missing required key {required!r}")
-
-    def coerce(kind, value, key, where="config key"):
-        message = f"{where} {key!r} must be {kind.__name__}, got {value!r}"
-        # int() would truncate 10.9 to 10 and take a bool, float() a bool, str() a null
-        if (value is None or (kind is not str and isinstance(value, bool))
-                or (kind is int and isinstance(value, float) and not value.is_integer())):
-            raise ConfigurationError(message)
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            raise ConfigurationError(message) from None
-
-    def listed(key):
-        if not isinstance(raw[key], list):
-            raise ConfigurationError(f"config key {key!r} must be a list, got {raw[key]!r}")
-        return raw[key]
-
-    def build(cls, item, what, kinds):
-        if isinstance(item, str):
-            item = {"name": item}
-        if not isinstance(item, dict):
-            raise ConfigurationError(f"each {what} must be a name or an object, got {item!r}")
-        # convert so that a bad value names its field; None stays in fields that default to it
-        optional = {f.name for f in fields(cls) if f.default is None}
-        values = dict(item)
-        for key, kind in kinds.items():
-            if key in values and not (values[key] is None and key in optional):
-                values[key] = coerce(kind, values[key], key, f"{what} field")
-        try:
-            return cls(**values)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(f"bad {what} entry {item!r}: {exc}") from None
-
-    problems = tuple(
-        build(ProblemSelection, p, "problem", {"label": str, "n_var": int, "n_obj": int})
-        for p in listed("problems"))
-    algorithms = tuple(
-        build(AlgorithmSpec, a, "algorithm",
-              {"label": str, "p": float, "stage_fraction": float, "pc": float,
-               "eta_c": float, "pm": float, "eta_m": float})
-        for a in listed("algorithms"))
-    seeds_raw = raw["seeds"]
-    master_seed = coerce(int, raw.get("master_seed", 0), "master_seed")
-    if isinstance(seeds_raw, dict):
-        unknown = set(seeds_raw) - {"master_seed", "n_runs"}
+    for f in fields(ExperimentConfig):
+        if f.default is MISSING and f.name not in raw:
+            raise ConfigurationError(f"config is missing required key {f.name!r}")
+    seeds = raw["seeds"]
+    if isinstance(seeds, dict):
+        unknown = set(seeds) - {"master_seed", "n_runs"}
         if unknown:
             raise ConfigurationError(f"unknown seeds keys: {sorted(unknown)}")
-        if "n_runs" not in seeds_raw:
+        if "n_runs" not in seeds:
             raise ConfigurationError("seeds object needs n_runs")
-        n_runs = coerce(int, seeds_raw["n_runs"], "n_runs")
+        n_runs = _coerce(int, seeds["n_runs"], "n_runs", "config key")
         if n_runs < 1:
             raise ConfigurationError(f"n_runs must be >= 1, got {n_runs}")
-        master_seed = coerce(int, seeds_raw.get("master_seed", master_seed), "master_seed")
-        seeds = tuple(range(n_runs))
-    elif isinstance(seeds_raw, (list, tuple)):
-        seeds = tuple(coerce(int, s, "seeds") for s in seeds_raw)
-    else:
-        raise ConfigurationError(
-            "seeds must be a list of ints or {master_seed, n_runs}")
-    kwargs = {}
-    if "metrics" in raw:
-        kwargs["metrics"] = tuple(listed("metrics"))
-    for key, kind in (("indicator_target", str), ("output_dir", str),
-                      ("igd_reference_size", int), ("hv_mc_samples", int),
-                      ("hv_ref_scale", float)):
-        if key in raw:
-            kwargs[key] = coerce(kind, raw[key], key)
-    return ExperimentConfig(problems=problems, algorithms=algorithms, seeds=seeds,
-                            n=coerce(int, raw["n"], "n"),
-                            max_fes=coerce(int, raw["max_fes"], "max_fes"),
-                            master_seed=master_seed, **kwargs)
+        raw = {**raw, "seeds": list(range(n_runs)),
+               "master_seed": seeds.get("master_seed", raw.get("master_seed", 0))}
+    elif not isinstance(seeds, list):
+        raise ConfigurationError("seeds must be a list of ints or {master_seed, n_runs}")
+    return ExperimentConfig(**_convert(ExperimentConfig, raw, "config key"))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -411,25 +394,20 @@ def run_matrix(config: ExperimentConfig, workers: int | None = None,
                 f"{out} holds results of temof {meta.get('package_version')!r}, "
                 f"not of this version {__version__!r}; choose another output_dir")
     else:
-        meta = {"fingerprint": fingerprint, "config": config.to_dict(),
+        meta = {"fingerprint": fingerprint, "config": asdict(config),
                 "package_version": __version__,
                 "created": datetime.now(timezone.utc).isoformat()}
         meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
     runs_path = out / RUNS_FILE
     existing = _read_runs(runs_path)
-    need_metrics = set(config.metrics)
-    tasks = []
-    for problem in config.problems:
-        for algorithm in config.algorithms:
-            for seed in config.seeds:
-                key = (problem.key, algorithm.key, seed)
-                rec = existing.get(key)
-                if rec is not None and need_metrics <= set(rec.metrics):
-                    continue
-                tasks.append(RunTask(config, problem, algorithm, seed))
+    cells = {(problem.key, algorithm.key, seed): RunTask(config, problem, algorithm, seed)
+             for problem in config.problems for algorithm in config.algorithms
+             for seed in config.seeds}
+    tasks = {key: task for key, task in cells.items()
+             if key not in existing or not set(config.metrics) <= set(existing[key].metrics)}
 
-    failures: list[dict] = []
+    failures: list[list] = []  # failures.csv rows
     total = len(tasks)
     done = 0
     # an empty file (killed before the header flush, or touched) needs the header too
@@ -440,57 +418,43 @@ def run_matrix(config: ExperimentConfig, workers: int | None = None,
             writer.writerow(RUN_COLUMNS)
             fh.flush()
 
-        def consume(task, record, error):
+        def consume(key, record, error):
             nonlocal done
             done += 1
             if error is None:
                 for metric in config.metrics:
-                    writer.writerow([record.problem, record.algorithm, record.seed, metric,
-                                     repr(record.metrics[metric]), record.fes,
+                    writer.writerow([*key, metric, repr(record.metrics[metric]), record.fes,
                                      repr(record.wall_ms)])
                 fh.flush()
-                existing[(record.problem, record.algorithm, record.seed)] = record
+                existing[key] = record
             else:
-                failures.append({"problem": task.problem.key,
-                                 "algorithm": task.algorithm.key,
-                                 "seed": task.seed,
-                                 "error": f"{type(error).__name__}: {error}"})
+                failures.append([*key, f"{type(error).__name__}: {error}"])
             if progress is not None:
                 progress(done, total, record)
 
         if workers == 1 or not tasks:
-            for task in tasks:
+            for key, task in tasks.items():
                 try:
-                    consume(task, _execute_run(task), None)
+                    consume(key, _execute_run(task), None)
                 except Exception as exc:  # record and move on
-                    consume(task, None, exc)
+                    consume(key, None, exc)
         else:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [(task, pool.submit(_execute_run, task)) for task in tasks]
-                for task, fut in futures:  # submission order keeps output deterministic
+                futures = {key: pool.submit(_execute_run, task) for key, task in tasks.items()}
+                for key, fut in futures.items():  # submission order keeps output deterministic
                     try:
-                        consume(task, fut.result(), None)
+                        consume(key, fut.result(), None)
                     except Exception as exc:
-                        consume(task, None, exc)
+                        consume(key, None, exc)
 
     failures_path = out / FAILURES_FILE
     if failures:
         with failures_path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["problem", "algorithm", "seed", "error"])
-            for f in failures:
-                writer.writerow([f["problem"], f["algorithm"], f["seed"], f["error"]])
+            csv.writer(fh).writerows([["problem", "algorithm", "seed", "error"], *failures])
     elif failures_path.exists():
         failures_path.unlink()
 
-    ordered = []
-    for problem in config.problems:
-        for algorithm in config.algorithms:
-            for seed in config.seeds:
-                rec = existing.get((problem.key, algorithm.key, seed))
-                if rec is not None:
-                    ordered.append(rec)
-    return ordered
+    return [existing[key] for key in cells if key in existing]
 
 
 def load_records(output_dir: str | Path) -> list[RunRecord]:
@@ -524,7 +488,6 @@ def format_cell(mean: float, std: float) -> str:
 class SummaryCell:
     mean: float
     std: float
-    values: np.ndarray
     mark: str | None = None  # None for the base column
 
     def text(self) -> str:
@@ -537,8 +500,6 @@ class SummaryTable:
     """Comparison table of one metric against a base algorithm."""
 
     metric: str
-    orientation: str
-    alpha: float
     base: str
     problems: list[str]
     algorithms: list[str]  # base first
@@ -548,26 +509,12 @@ class SummaryTable:
     friedman: FriedmanResult
 
     def to_markdown(self) -> str:
-        header = ["Problem"] + self.algorithms
-        lines = ["| " + " | ".join(header) + " |",
-                 "|" + "|".join(["---"] * len(header)) + "|"]
-        for problem in self.problems:
-            row = [problem]
-            for algo in self.algorithms:
-                row.append(self.cells[(problem, algo)].text())
-            lines.append("| " + " | ".join(row) + " |")
-        footer_row = [f"+/-/= (vs {self.base})"]
-        for algo in self.algorithms:
-            if algo == self.base:
-                footer_row.append("")
-            else:
-                w, l, t = self.footer[algo]
-                footer_row.append(f"{w}/{l}/{t}")
-        lines.append("| " + " | ".join(footer_row) + " |")
+        rows = self.to_csv_rows()
+        rows[0][0] = "Problem"
+        lines = ["| " + " | ".join(row) + " |" for row in rows]
+        lines.insert(1, "|" + "|".join(["---"] * len(rows[0])) + "|")
         lines.append("")
-        for algo in self.algorithms:
-            if algo == self.base:
-                continue
+        for algo in self.algorithms[1:]:  # the base comes first
             s = self.signed[algo]
             lines.append(
                 f"signed-rank {algo} vs {self.base} ({self.metric}): "
@@ -586,18 +533,16 @@ class SummaryTable:
         for problem in self.problems:
             rows.append([problem] + [self.cells[(problem, a)].text()
                                      for a in self.algorithms])
-        footer = [f"+/-/= (vs {self.base})"]
-        for algo in self.algorithms:
-            if algo == self.base:
-                footer.append("")
-            else:
-                w, l, t = self.footer[algo]
-                footer.append(f"{w}/{l}/{t}")
-        rows.append(footer)
+        rows.append([f"+/-/= (vs {self.base})", ""]
+                    + ["{}/{}/{}".format(*self.footer[a]) for a in self.algorithms[1:]])
         return rows
 
 
 def _group_values(records: list[RunRecord], metric: str):
+    """Problems and algorithms in first-seen order, and each cell's values by seed.
+
+    Raises UsageError when some problem lacks some algorithm's runs.
+    """
     problems: list[str] = []
     algorithms: list[str] = []
     values: dict[tuple[str, str], list[tuple[int, float]]] = {}
@@ -614,6 +559,9 @@ def _group_values(records: list[RunRecord], metric: str):
     for key, pairs in values.items():
         pairs.sort()
         arrays[key] = np.array([v for _, v in pairs])
+    missing = [(p, a) for p in problems for a in algorithms if (p, a) not in arrays]
+    if missing:
+        raise UsageError(f"records are incomplete; missing cells: {missing}")
     return problems, algorithms, arrays
 
 
@@ -629,35 +577,28 @@ def summarize(records: list[RunRecord], base: str, metric: str,
     if base not in algorithms:
         raise UsageError(f"base algorithm {base!r} not among {algorithms}")
     algorithms = [base] + [a for a in algorithms if a != base]
-    missing = [(p, a) for p in problems for a in algorithms if (p, a) not in values]
-    if missing:
-        raise UsageError(f"records are incomplete; missing cells: {missing}")
     cells: dict[tuple[str, str], SummaryCell] = {}
-    footer: dict[str, tuple[int, int, int]] = {}
-    signed: dict[str, SignedRankResult] = {}
     for problem in problems:
         base_vals = values[(problem, base)]
         for algo in algorithms:
             vals = values[(problem, algo)]
             std = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
-            cell = SummaryCell(float(vals.mean()), std, vals)
+            cell = SummaryCell(float(vals.mean()), std)
             if algo != base:
                 cell.mark = ranksum_mark(vals, base_vals, alpha, orientation).mark
             cells[(problem, algo)] = cell
-    for algo in algorithms[1:]:
+    means = np.array([[cells[(p, a)].mean for a in algorithms] for p in problems])
+    footer: dict[str, tuple[int, int, int]] = {}
+    signed: dict[str, SignedRankResult] = {}
+    for j, algo in enumerate(algorithms[1:], start=1):
         marks = [cells[(p, algo)].mark for p in problems]
         footer[algo] = (marks.count("+"), marks.count("-"), marks.count("="))
-        algo_means = [cells[(p, algo)].mean for p in problems]
-        base_means = [cells[(p, base)].mean for p in problems]
-        signed[algo] = signed_rank(algo_means, base_means, orientation)
-    mean_matrix = np.array([[cells[(p, a)].mean for a in algorithms]
-                            for p in problems])
+        signed[algo] = signed_rank(means[:, j], means[:, 0], orientation)
     if len(problems) >= 2 and len(algorithms) >= 2:
-        fried = friedman_ranks(mean_matrix, orientation)
+        fried = friedman_ranks(means, orientation)
     else:
         fried = FriedmanResult(np.full(len(algorithms), np.nan), len(problems), float("nan"))
-    return SummaryTable(metric=metric, orientation=orientation, alpha=alpha,
-                        base=base, problems=problems, algorithms=algorithms,
+    return SummaryTable(metric=metric, base=base, problems=problems, algorithms=algorithms,
                         cells=cells, footer=footer, signed=signed, friedman=fried)
 
 
@@ -685,10 +626,6 @@ def write_ranks(records: list[RunRecord], output_dir: str | Path,
         problems, algorithms, values = _group_values(records, metric)
         if len(problems) < 2 or len(algorithms) < 2:
             continue
-        missing = [(p, a) for p in problems for a in algorithms
-                   if (p, a) not in values]
-        if missing:
-            raise UsageError(f"records are incomplete; missing cells: {missing}")
         matrix = np.array([[values[(p, a)].mean() for a in algorithms]
                            for p in problems])
         fried = friedman_ranks(matrix, INDICATOR_ORIENTATION[metric])

@@ -4,6 +4,7 @@ import pytest
 from temof import (ConfigurationError, UnsupportedError, UsageError,
                    default_dimensions, make_problem, pareto_mask, problem_names,
                    sample_true_front)
+from temof.benchmarks import _subsample
 
 
 class TestRegistry:
@@ -185,6 +186,21 @@ class TestFrontSamplers:
         assert np.allclose(f[:, 1], expected, atol=1e-12)
         gaps = np.diff(np.sort(f[:, 0]))
         assert gaps.max() > 10 * np.median(gaps)  # disconnected segments
+
+    @pytest.mark.parametrize("count", [50, 2000, 10_000])
+    def test_zdt3_front_matches_loop_oracle(self, count):
+        # the sampler's former record scan, kept verbatim as the reference
+        f1 = np.linspace(0.0, 1.0, 16 * count)
+        f2 = 1.0 - np.sqrt(f1) - f1 * np.sin(10.0 * np.pi * f1)
+        objs = np.column_stack([f1, f2])
+        keep = np.empty(objs.shape[0], dtype=bool)
+        best = np.inf
+        for i in range(objs.shape[0]):  # sorted by f1, keep strict f2 improvements
+            keep[i] = objs[i, 1] < best
+            if keep[i]:
+                best = objs[i, 1]
+        expected = _subsample(objs[keep], count)
+        assert np.array_equal(sample_true_front(make_problem("ZDT3"), count), expected)
 
     def test_zdt6_front_matches_evaluator_minimum(self):
         problem = make_problem("ZDT6")

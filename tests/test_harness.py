@@ -70,6 +70,23 @@ class TestConfigValidation:
                              algorithms=(AlgorithmSpec("nsga3"),),
                              seeds=(0,), n=10, max_fes=100, hv_ref_scale=1.0)
 
+    def test_population_below_objective_count_rejected(self):
+        # the reference directions need n >= n_obj; the run would fail in every cell
+        with pytest.raises(ConfigurationError,
+                           match="population size 4 is below n_obj=5 of problem DTLZ2_dx5"):
+            config_from_dict({"problems": ["ZDT1", {"name": "DTLZ2", "n_obj": 5}],
+                              "algorithms": ["nsga3"], "seeds": [0], "n": 4,
+                              "max_fes": 100})
+        ExperimentConfig(problems=(ProblemSelection("DTLZ2", n_obj=5),),
+                         algorithms=(AlgorithmSpec("nsga3"),), seeds=(0,), n=5, max_fes=100)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_hv_samples_must_be_positive(self, samples):
+        with pytest.raises(ConfigurationError, match="hv_mc_samples"):
+            ExperimentConfig(problems=(ProblemSelection("ZDT1"),),
+                             algorithms=(AlgorithmSpec("nsga3"),),
+                             seeds=(0,), n=10, max_fes=100, hv_mc_samples=samples)
+
     def test_unknown_algorithm_name(self):
         with pytest.raises(ConfigurationError, match="unknown algorithm"):
             AlgorithmSpec("nsga2")
@@ -102,10 +119,11 @@ class TestConfigFromDict:
 
     def test_problem_objects(self):
         cfg = config_from_dict({
-            "problems": [{"name": "DTLZ2", "n_obj": 5, "n_var": 14, "label": "D2-5"}],
+            "problems": [{"name": "dtlz2", "n_obj": 5, "n_var": 14, "label": "D2-5"}],
             "algorithms": [{"name": "temof-nsga3", "p": 0.3}],
             "seeds": [0], "n": 10, "max_fes": 100})
         assert cfg.problems[0].key == "D2-5"
+        assert cfg.problems[0].name == "DTLZ2"  # stored as the registry key
         assert cfg.algorithms[0].p == 0.3
 
     def test_unknown_key_rejected(self):
