@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .core import (ConfigurationError, EvaluationError, Population, ProblemSpec,
                    RngKey, RunBudget, TemofError, UnsupportedError, UsageError,
                    concat, initialize_population, merge_dedupe, rng_stream)
-from .dominance import DominanceRelation, dominates, pareto_mask, sort_fronts
+from .dominance import pareto_mask, sort_fronts
 from .variation import VariationParams, generate_offspring, mating_pool
 from .nsga3 import (NormalizationState, Nsga3Base, ReferencePointSet, associate,
                     das_dennis, environmental_selection, first_front_selection,
@@ -35,7 +35,7 @@ __all__ = [
     "Population", "concat", "merge_dedupe",
     "initialize_population",
     # dominance
-    "DominanceRelation", "dominates", "sort_fronts", "pareto_mask",
+    "sort_fronts", "pareto_mask",
     # variation
     "VariationParams", "mating_pool", "generate_offspring",
     # nsga3

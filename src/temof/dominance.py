@@ -2,36 +2,9 @@
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
-from .core import ConfigurationError, UsageError
-
-
-class DominanceRelation(Enum):
-    FIRST_DOMINATES = "first"
-    SECOND_DOMINATES = "second"
-    INCOMPARABLE = "incomparable"
-    EQUAL = "equal"
-
-
-def dominates(a, b) -> DominanceRelation:
-    """Pairwise dominance between two objective vectors."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ConfigurationError(
-            f"objective vectors must be 1-D and of equal length, got {a.shape} and {b.shape}")
-    le = a <= b
-    ge = a >= b
-    if le.all() and ge.all():
-        return DominanceRelation.EQUAL
-    if le.all():
-        return DominanceRelation.FIRST_DOMINATES
-    if ge.all():
-        return DominanceRelation.SECOND_DOMINATES
-    return DominanceRelation.INCOMPARABLE
+from .core import UsageError
 
 
 def _dominates(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -55,12 +28,14 @@ def domination_matrix(f: np.ndarray) -> np.ndarray:
     return _dominates(ft[:, :, None], ft[:, None, :])
 
 
-def sort_fronts(f: np.ndarray) -> list[np.ndarray]:
+def sort_fronts(f: np.ndarray, cover: int | None = None) -> list[np.ndarray]:
     """Partition row indices of an objective matrix into non-dominated fronts.
 
     Front 0 holds the non-dominated rows; front k+1 the rows only dominated
     by fronts <= k.  Duplicate objective vectors land in the same front.
-    Within a front, indices appear in ascending (original) order.
+    Within a front, indices appear in ascending (original) order.  With
+    cover given, peeling stops once the fronts returned hold at least that
+    many rows, so the result is a prefix of the full partition.
     """
     f = np.atleast_2d(np.asarray(f, dtype=float))
     if f.shape[0] == 0:
@@ -68,9 +43,13 @@ def sort_fronts(f: np.ndarray) -> list[np.ndarray]:
     dom = domination_matrix(f)
     n_dominators = dom.sum(axis=0).astype(np.int64)
     fronts: list[np.ndarray] = []
+    covered = 0
     current = np.flatnonzero(n_dominators == 0)
     while current.size:
         fronts.append(current)
+        covered += current.size
+        if cover is not None and covered >= cover:
+            break
         n_dominators[current] = -1
         n_dominators -= dom[current].sum(axis=0)
         current = np.flatnonzero(n_dominators == 0)

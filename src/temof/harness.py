@@ -360,13 +360,16 @@ def _read_runs(path: Path) -> dict[tuple[str, str, int], RunRecord]:
             raise ConfigurationError(
                 f"{path} has columns {reader.fieldnames}, expected {list(RUN_COLUMNS)}")
         for row in reader:
-            key = (row["problem"], row["algorithm"], int(row["seed"]))
+            try:
+                key = (row["problem"], row["algorithm"], int(row["seed"]))
+                value, fes, wall_ms = float(row["value"]), int(row["fes"]), float(row["wall_ms"])
+            except (TypeError, ValueError) as exc:  # a short row reads None
+                raise ConfigurationError(
+                    f"{path} line {reader.line_num}: malformed run row ({exc})") from None
             rec = records.get(key)
             if rec is None:
-                rec = RunRecord(row["problem"], row["algorithm"], int(row["seed"]),
-                                {}, int(row["fes"]), float(row["wall_ms"]))
-                records[key] = rec
-            rec.metrics[row["metric"]] = float(row["value"])
+                rec = records[key] = RunRecord(*key, {}, fes, wall_ms)
+            rec.metrics[row["metric"]] = value
     return records
 
 

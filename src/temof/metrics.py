@@ -86,16 +86,22 @@ def _hv_monte_carlo(points: np.ndarray, ref: np.ndarray, samples: int,
     lo = points.min(axis=0)
     box = np.prod(ref - lo)
     n, m = points.shape
-    # a sample row costs m float64 coordinates plus n * m comparison booleans;
-    # the generator fills in order, so the chunk size never changes the value
-    rows = max(1, _MC_CHUNK_BYTES // (m * (n + 8)))
+    cols = np.ascontiguousarray(points.T)
+    # a sample row costs its m float64 draws, their transposed copy, and two
+    # n-wide boolean planes (the running cover and one comparison); the
+    # generator fills in order, so the chunk size never changes the value
+    rows = max(1, _MC_CHUNK_BYTES // (16 * m + 2 * n))
     hits = 0
     remaining = samples
     while remaining > 0:
         k = min(rows, remaining)
-        draw = rng.uniform(lo, ref, size=(k, m))
-        covered = (draw[:, None, :] >= points[None, :, :]).all(axis=2).any(axis=1)
-        hits += int(covered.sum())
+        draw = np.ascontiguousarray(rng.uniform(lo, ref, size=(k, m)).T)
+        # one comparison per objective, folded in place, is much faster than
+        # reducing over a last axis only m long
+        covered = draw[0][:, None] >= cols[0]
+        for d, c in zip(draw[1:], cols[1:]):
+            covered &= d[:, None] >= c
+        hits += int(covered.any(axis=1).sum())
         remaining -= k
     return box * hits / samples
 

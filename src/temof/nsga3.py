@@ -112,8 +112,12 @@ def normalize(objs: np.ndarray, state: NormalizationState) -> tuple[np.ndarray, 
     shifted = f - ideal
     weights = np.full((m, m), 1e-6)
     np.fill_diagonal(weights, 1.0)
-    # asf[j, i]: scalarized value of point i for axis j
-    asf = (shifted[None, :, :] / weights[:, None, :]).max(axis=2)
+    # asf[j, i]: scalarized value of point i for axis j, the max taken one
+    # objective column at a time (exact: a max does not depend on order)
+    cols = np.ascontiguousarray(shifted.T)
+    asf = cols[0] / weights[:, :1]
+    for k in range(1, m):
+        np.maximum(asf, cols[k] / weights[:, k:k + 1], out=asf)
     extremes = shifted[asf.argmin(axis=1)]
     intercepts = None
     try:
@@ -144,10 +148,48 @@ def associate(normalized: np.ndarray, refs: ReferencePointSet) -> tuple[np.ndarr
     w = refs.points
     unit = w / np.linalg.norm(w, axis=1, keepdims=True)
     proj = f @ unit.T
-    residual = f[:, None, :] - proj[:, :, None] * unit[None, :, :]
-    dist = np.linalg.norm(residual, axis=2)
+    # squared residual one objective at a time on N x R planes, summed in the
+    # order np.linalg.norm(axis=2) sums an N x R x M tensor, so the distances
+    # (and so the ties) are exactly those of the direct formula
+    f_cols = np.ascontiguousarray(f.T)
+    unit_cols = np.ascontiguousarray(unit.T)
+
+    def square(k: int) -> np.ndarray:
+        r = proj * unit_cols[k]
+        np.subtract(f_cols[k][:, None], r, out=r)
+        return np.multiply(r, r, out=r)
+
+    dist = np.sqrt(_pairwise_sum(square, 0, f.shape[1]))
     idx = dist.argmin(axis=1)
     return idx, dist[np.arange(f.shape[0]), idx]
+
+
+def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
+    """Sum term(lo) ... term(hi - 1) in numpy's pairwise order.
+
+    This is the order numpy adds a contiguous axis of hi - lo values: fewer
+    than 8 add in sequence; up to 128, eight running partials over blocks of
+    8 combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the tail adds in
+    sequence; longer runs split in two at a multiple of 8.
+    """
+    n = hi - lo
+    if n < 8:
+        total = term(lo)
+        for k in range(lo + 1, hi):
+            total += term(k)
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(term, lo, lo + half) + _pairwise_sum(term, lo + half, hi)
+    r = [term(lo + j) for j in range(8)]
+    head = hi - n % 8
+    for i in range(lo + 8, head, 8):
+        for j in range(8):
+            r[j] += term(i + j)
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for k in range(head, hi):
+        total += term(k)
+    return total
 
 
 def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray,
@@ -157,27 +199,26 @@ def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray
     rho holds current niche counts per reference point (from the already
     selected members).  Returns indices into the critical front arrays.
     """
-    n_refs = rho.shape[0]
+    rho = np.asarray(rho, dtype=float).tolist()
     # per reference: critical members ordered by distance, nearest first
-    members: list[list[int]] = [[] for _ in range(n_refs)]
+    members: list[list[int]] = [[] for _ in rho]
     assoc = crit_assoc.tolist()
     for i in np.argsort(crit_dist, kind="stable").tolist():
         members[assoc[i]].append(i)
-    rho = rho.astype(float).copy()
     picked: list[int] = []
     # references at the lowest niche count, ascending; a visit lifts j out of
     # this level, so the level is rescanned only once it is used up
     ties: list[int] = []
     while len(picked) < k:
         if not ties:
-            low = rho.min()
-            if not np.isfinite(low):
+            low = min(rho)
+            if low == math.inf:
                 raise UsageError("niching ran out of candidates before filling the slots")
-            ties = np.flatnonzero(rho == low).tolist()
+            ties = [j for j, count in enumerate(rho) if count == low]
         j = ties.pop(int(rng.integers(len(ties))))
         bucket = members[j]
         if not bucket:
-            rho[j] = np.inf  # niche exhausted, never revisit
+            rho[j] = math.inf  # niche exhausted, never revisit
             continue
         if rho[j] == 0:
             i = bucket.pop(0)  # nearest member of an empty niche
@@ -203,7 +244,7 @@ def _fill(pop: Population, selected: np.ndarray, critical: np.ndarray | None, n:
     normalized, _ = normalize(pop.f[np.concatenate([selected, critical])], state)
     assoc, dist = associate(normalized, refs)
     k = selected.size
-    rho = np.bincount(assoc[:k], minlength=len(refs)).astype(float)
+    rho = np.bincount(assoc[:k], minlength=len(refs))
     picks = _niche_select(rho, assoc[k:], dist[k:], n - k, rng)
     chosen = critical[np.sort(np.asarray(picks, dtype=int))]
     return pop.take(np.concatenate([selected, chosen]))
@@ -221,14 +262,11 @@ def environmental_selection(pop: Population, n: int, refs: ReferencePointSet,
         raise UsageError(f"selection size must be >= 1, got {n}")
     selected, critical = np.arange(len(pop)), None
     if len(pop) > n:
-        selected = np.empty(0, dtype=int)
-        for front in sort_fronts(pop.f):
-            if selected.size + front.size > n:
-                critical = front
-                break
-            selected = np.concatenate([selected, front])
-            if selected.size == n:
-                break
+        fronts = sort_fronts(pop.f, cover=n)
+        selected = np.concatenate(fronts)
+        if selected.size > n:  # the last front does not fit: niche it
+            critical = fronts[-1]
+            selected = selected[:selected.size - critical.size]
     return _fill(pop, selected, critical, n, refs, state, rng)
 
 
@@ -242,7 +280,7 @@ def first_front_selection(pop: Population, n: int, refs: ReferencePointSet,
     """
     if n < 1:
         raise UsageError(f"selection size must be >= 1, got {n}")
-    first = sort_fronts(pop.f)[0]
+    first = sort_fronts(pop.f, cover=1)[0]
     if first.size <= n:
         return _fill(pop, first, None, n, refs, state, rng)
     return _fill(pop, np.empty(0, dtype=int), first, n, refs, state, rng)

@@ -1,9 +1,35 @@
+from enum import Enum
+
 import numpy as np
 import pytest
 
-from temof import (ConfigurationError, DominanceRelation, UsageError, dominates,
-                   pareto_mask, sort_fronts)
+from temof import ConfigurationError, UsageError, pareto_mask, sort_fronts
 from temof.dominance import domination_matrix
+
+
+class DominanceRelation(Enum):
+    FIRST_DOMINATES = "first"
+    SECOND_DOMINATES = "second"
+    INCOMPARABLE = "incomparable"
+    EQUAL = "equal"
+
+
+def dominates(a, b) -> DominanceRelation:
+    """Pairwise dominance between two objective vectors (the sorting oracle)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ConfigurationError(
+            f"objective vectors must be 1-D and of equal length, got {a.shape} and {b.shape}")
+    le = a <= b
+    ge = a >= b
+    if le.all() and ge.all():
+        return DominanceRelation.EQUAL
+    if le.all():
+        return DominanceRelation.FIRST_DOMINATES
+    if ge.all():
+        return DominanceRelation.SECOND_DOMINATES
+    return DominanceRelation.INCOMPARABLE
 
 
 def peel_oracle(f):
@@ -136,6 +162,20 @@ class TestSortFronts:
             assert len(got) == len(want)
             for g, w in zip(got, want):
                 assert np.array_equal(np.sort(g), np.sort(w))
+
+    def test_cover_returns_a_prefix_of_the_full_sort(self):
+        rng = np.random.default_rng(43)
+        for trial in range(30):
+            n = int(rng.integers(1, 45))
+            f = np.round(rng.random((n, int(rng.integers(2, 6)))), 1)
+            want = peel_oracle(f)
+            for cover in range(1, n + 2):
+                got = sort_fronts(f, cover=cover)
+                k = next((i + 1 for i in range(len(want))
+                          if sum(w.size for w in want[:i + 1]) >= cover), len(want))
+                assert len(got) == k
+                for g, w in zip(got, want):
+                    assert np.array_equal(g, w)
 
 
 class TestDominationMatrix:

@@ -343,6 +343,16 @@ class TestRunMatrix:
             assert twin.metrics == rec.metrics  # repr round-trip is exact
             assert twin.fes == rec.fes
 
+    @pytest.mark.parametrize("row", ["ZDT1,nsga3,x,IGD,0.5,100,1.0",
+                                     "ZDT1,nsga3,0,IGD,junk,100,1.0",
+                                     "ZDT1,nsga3,0,IGD"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(",".join(harness.RUN_COLUMNS) + "\n"
+                        "ZDT1,nsga3,1,IGD,0.5,100,1.0\n" + row + "\n")
+        with pytest.raises(ConfigurationError, match=f"{runs} line 3: malformed run row"):
+            load_records(tmp_path)
+
     def test_workers_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TEMOF_WORKERS", "junk")
         with pytest.raises(ConfigurationError, match="TEMOF_WORKERS"):
@@ -545,6 +555,12 @@ class TestCli:
                        "--n", "10", "--max-fes", "50", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "error: --seed-list" in capsys.readouterr().err
+
+    def test_report_on_malformed_runs(self, tmp_path, capsys):
+        (tmp_path / "runs.csv").write_text(",".join(harness.RUN_COLUMNS) + "\n"
+                                           "ZDT1,nsga3,x,IGD,0.5,100,1.0\n")
+        assert cli_main(["report", "ranks", "--runs", str(tmp_path)]) == 2
+        assert "line 2: malformed run row" in capsys.readouterr().err
 
     def test_bad_config_path(self, capsys):
         assert cli_main(["run", "--config", "/nonexistent.json"]) == 2

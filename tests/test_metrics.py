@@ -19,6 +19,21 @@ def hv_grid_oracle_2d(points, ref, cells=2000):
     return covered.sum() * cell
 
 
+def hv_monte_carlo_oracle(points, ref, samples, rng, rows=4096):
+    """_hv_monte_carlo as first written: reduce over the objective axis."""
+    lo = points.min(axis=0)
+    box = np.prod(ref - lo)
+    hits = 0
+    remaining = samples
+    while remaining > 0:
+        k = min(rows, remaining)
+        draw = rng.uniform(lo, ref, size=(k, points.shape[1]))
+        covered = (draw[:, None, :] >= points[None, :, :]).all(axis=2).any(axis=1)
+        hits += int(covered.sum())
+        remaining -= k
+    return box * hits / samples
+
+
 class TestIgdGd:
     def test_igd_hand_case(self):
         solution = [[0.0, 1.0], [1.0, 0.0]]
@@ -132,8 +147,20 @@ class TestHvMonteCarlo:
     def test_chunk_budget_does_not_change_value(self, monkeypatch):
         pts = np.random.default_rng(4).random((30, 5))
         expected = hv(pts, [1.1] * 5, samples=50_000).value
-        monkeypatch.setattr(metrics, "_MC_CHUNK_BYTES", 997)  # 5-row chunks
+        monkeypatch.setattr(metrics, "_MC_CHUNK_BYTES", 997)  # 7-row chunks
         assert hv(pts, [1.1] * 5, samples=50_000).value == expected
+
+    @pytest.mark.parametrize("n", [1, 126, 300])
+    @pytest.mark.parametrize("m", [4, 5, 8])
+    def test_matches_oracle(self, monkeypatch, n, m):
+        pts = np.random.default_rng(n * m).random((n, m)) ** 0.5
+        ref = np.full(m, 1.1)
+        for budget in (997, 100_003, metrics._MC_CHUNK_BYTES):  # 1 row and up
+            monkeypatch.setattr(metrics, "_MC_CHUNK_BYTES", budget)
+            rng, oracle_rng = np.random.default_rng(7), np.random.default_rng(7)
+            value = metrics._hv_monte_carlo(pts, ref, 3000, rng)
+            assert value == hv_monte_carlo_oracle(pts, ref, 3000, oracle_rng)
+            assert rng.random() == oracle_rng.random()  # the same draws were made
 
     def test_forced_monte_carlo_on_2d_near_exact(self):
         pts = [[0.25, 0.75], [0.75, 0.25]]

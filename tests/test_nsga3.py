@@ -64,7 +64,49 @@ class TestChooseDivisions:
         assert len(reference_points_for(2, 3)) == 3
 
 
+def normalize_oracle(objs, state):
+    """normalize as first written: the ASF max over the objective axis."""
+    f = np.atleast_2d(np.asarray(objs, dtype=float))
+    m = f.shape[1]
+    ideal = f.min(axis=0)
+    if state.ideal is not None:
+        ideal = np.minimum(ideal, state.ideal)
+    shifted = f - ideal
+    weights = np.full((m, m), 1e-6)
+    np.fill_diagonal(weights, 1.0)
+    asf = (shifted[None, :, :] / weights[:, None, :]).max(axis=2)
+    extremes = shifted[asf.argmin(axis=1)]
+    intercepts = None
+    try:
+        plane = np.linalg.solve(extremes, np.ones(m))
+        with np.errstate(divide="ignore", over="ignore"):
+            candidate = 1.0 / plane
+        if np.all(np.isfinite(candidate)) and np.all(candidate > 0):
+            intercepts = candidate
+    except np.linalg.LinAlgError:
+        pass
+    if intercepts is None:
+        intercepts = shifted.max(axis=0)
+    intercepts = np.maximum(intercepts, 1e-12)
+    state.ideal, state.intercepts = ideal, intercepts
+    return shifted / intercepts
+
+
 class TestNormalize:
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(12)
+        for m in range(2, 11):
+            for decimals in (1, None):
+                state, oracle_state = NormalizationState(), NormalizationState()
+                for _ in range(3):  # the running ideal carries over
+                    f = rng.random((int(rng.integers(1, 40)), m)) * 10.0 ** rng.integers(-3, 4)
+                    if decimals is not None:  # ties between scalarized values
+                        f = np.round(f, decimals)
+                    got, _ = normalize(f, state)
+                    assert np.array_equal(got, normalize_oracle(f, oracle_state))
+                    assert np.array_equal(state.ideal, oracle_state.ideal)
+                    assert np.array_equal(state.intercepts, oracle_state.intercepts)
+
     def test_hand_case_intercepts(self):
         state = NormalizationState()
         normalized, state = normalize(np.array([[1.0, 2.0], [3.0, 0.0]]), state)
@@ -99,7 +141,43 @@ class TestNormalize:
             normalize(np.empty((0, 3)), NormalizationState())
 
 
+def associate_oracle(normalized, refs):
+    """associate as first written: the norm of an N x R x M residual tensor."""
+    f = np.atleast_2d(np.asarray(normalized, dtype=float))
+    w = refs.points
+    unit = w / np.linalg.norm(w, axis=1, keepdims=True)
+    proj = f @ unit.T
+    residual = f[:, None, :] - proj[:, :, None] * unit[None, :, :]
+    dist = np.linalg.norm(residual, axis=2)
+    idx = dist.argmin(axis=1)
+    return idx, dist[np.arange(f.shape[0]), idx]
+
+
 class TestAssociate:
+    # numpy sums up to 7 values in sequence and 8 or more pairwise, and splits
+    # runs above 128; associate reproduces each order, so results are identical
+    @pytest.mark.parametrize("m", [*range(2, 18), 130, 260])
+    def test_matches_oracle(self, m):
+        rng = np.random.default_rng(m)
+        for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+            for n_refs in (1, int(rng.integers(2, 60))):
+                refs = ReferencePointSet(rng.random((n_refs, m)))
+                f = rng.random((int(rng.integers(1, 50)), m)) * scale
+                f[rng.integers(f.shape[0], size=f.shape[0] // 3)] = f[0]  # duplicates
+                idx, dist = associate(f, refs)
+                want_idx, want_dist = associate_oracle(f, refs)
+                assert np.array_equal(idx, want_idx)
+                assert np.array_equal(dist, want_dist)
+
+    def test_matches_oracle_on_lattices(self):
+        rng = np.random.default_rng(2)
+        for m, h in [(3, 12), (5, 6), (8, 3), (10, 3)]:
+            refs = das_dennis(m, h)
+            f = np.vstack([rng.random((40, m)), 0.5 * refs.points[:10]])  # on-ray points tie
+            idx, dist = associate(f, refs)
+            want_idx, want_dist = associate_oracle(f, refs)
+            assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
+
     def test_hand_case(self):
         refs = ReferencePointSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
         idx, dist = associate(np.array([[0.9, 0.1]]), refs)
