@@ -17,8 +17,7 @@ from .nsga3 import (NormalizationState, Nsga3Base, ReferencePointSet, associate,
                     normalize, nsga3_run, reference_points_for)
 from .framework import (FrameworkConfig, GenerationRecord, MatingSource,
                         RunTrace, TemofResult, stage_gate, temof_run)
-from .benchmarks import (default_dimensions, make_problem, problem_names,
-                         sample_true_front)
+from .benchmarks import make_problem, problem_names, sample_true_front
 from .metrics import IndicatorResult, gd, hv, igd
 from .stats import (HIGHER_IS_BETTER, LOWER_IS_BETTER, ComparisonMark,
                     FriedmanResult, SignedRankResult, friedman_ranks,
@@ -46,7 +45,7 @@ __all__ = [
     "FrameworkConfig", "MatingSource", "stage_gate", "GenerationRecord",
     "RunTrace", "TemofResult", "temof_run",
     # benchmarks
-    "make_problem", "problem_names", "default_dimensions", "sample_true_front",
+    "make_problem", "problem_names", "sample_true_front",
     # metrics
     "IndicatorResult", "igd", "gd", "hv",
     # stats

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .core import ConfigurationError, ProblemSpec, UnsupportedError
-from .dominance import pareto_mask
 from .nsga3 import das_dennis
 
 
@@ -153,10 +152,24 @@ def _subsample(points: np.ndarray, count: int) -> np.ndarray:
     if points.shape[0] < count:
         raise UnsupportedError(
             f"front sampler produced only {points.shape[0]} candidates for {count} requested")
-    if points.shape[0] == count:
-        return points
     idx = np.linspace(0, points.shape[0] - 1, count).astype(int)
     return points[idx]
+
+
+def _grid_front(h: np.ndarray) -> np.ndarray:
+    """Mask of the grid points whose f_M is below that of every point before them.
+
+    h holds f_M over a grid whose coordinates ascend along every axis.  A point
+    is dominated exactly when another point at or before it on every axis has
+    an f_M no larger, so the mask is the non-dominated set, ties included.
+    """
+    low = np.pad(h, [(1, 0)] * h.ndim, constant_values=np.inf)
+    for axis in range(h.ndim):
+        low = np.minimum.accumulate(low, axis=axis)
+    # the least f_M before a point lies at or before one step back along some axis
+    back = [low[tuple(slice(None, -1) if a == b else slice(1, None) for b in range(h.ndim))]
+            for a in range(h.ndim)]
+    return h < np.minimum.reduce(back)
 
 
 def _simplex_lattice(m: int, count: int) -> np.ndarray:
@@ -181,20 +194,13 @@ def _front_points(family: str, m: int, count: int) -> np.ndarray:
             c = np.cos(np.pi / 4.0)
             front = np.column_stack([np.cos(theta) * c, np.cos(theta) * c, np.sin(theta)])
     elif family == "DTLZ7":
-        for factor in (12, 48, 192):
-            if m == 2:
-                grid = np.linspace(0.0, 1.0, factor * count)[:, None]
-            else:
-                side = math.ceil(math.sqrt(factor * count))
-                g1, g2 = np.meshgrid(np.linspace(0.0, 1.0, side),
-                                     np.linspace(0.0, 1.0, side))
-                grid = np.column_stack([g1.ravel(), g2.ravel()])
-            h = m - (grid * (1.0 + np.sin(3.0 * np.pi * grid))).sum(axis=1)
-            objs = np.column_stack([grid, h])
-            objs = objs[pareto_mask(objs)]
-            if objs.shape[0] >= count:
-                break
-        front = _subsample(objs, count)
+        # a 12x oversampled grid holds at least count front points (checked up to 20 000)
+        side = 12 * count if m == 2 else math.ceil(math.sqrt(12 * count))
+        axes = np.meshgrid(*[np.linspace(0.0, 1.0, side)] * (m - 1))  # rows f2, columns f1
+        grid = np.column_stack([a.ravel() for a in axes])
+        h = m - (grid * (1.0 + np.sin(3.0 * np.pi * grid))).sum(axis=1)
+        keep = _grid_front(h.reshape(axes[0].shape)).ravel()
+        front = _subsample(np.column_stack([grid, h])[keep], count)
     elif family in ("ZDT1", "ZDT4"):
         f1 = np.linspace(0.0, 1.0, count)
         front = np.column_stack([f1, 1.0 - np.sqrt(f1)])
@@ -204,9 +210,7 @@ def _front_points(family: str, m: int, count: int) -> np.ndarray:
     elif family == "ZDT3":
         f1 = np.linspace(0.0, 1.0, 16 * count)
         f2 = 1.0 - np.sqrt(f1) - f1 * np.sin(10.0 * np.pi * f1)
-        # sorted by f1, so the front keeps each point whose f2 beats every earlier one
-        keep = f2 < np.concatenate(([np.inf], np.minimum.accumulate(f2)[:-1]))
-        front = _subsample(np.column_stack([f1, f2])[keep], count)
+        front = _subsample(np.column_stack([f1, f2])[_grid_front(f2)], count)
     elif family == "ZDT6":
         res = minimize_scalar(
             lambda t: 1.0 - np.exp(-4.0 * t) * np.sin(6.0 * np.pi * t) ** 6,
@@ -241,16 +245,6 @@ _ZDT_DEFAULT_VARS = {"ZDT1": 30, "ZDT2": 30, "ZDT3": 30, "ZDT4": 10, "ZDT6": 10}
 
 def problem_names() -> list[str]:
     return sorted(_DTLZ_EVALS) + sorted(_ZDT_EVALS)
-
-
-def default_dimensions(name: str) -> tuple[int, int]:
-    """Default (n_var, n_obj) for a benchmark name."""
-    key = name.upper()
-    if key in _DTLZ_EVALS:
-        return 2 + _DTLZ_EXTRA_VARS[key], 3
-    if key in _ZDT_EVALS:
-        return _ZDT_DEFAULT_VARS[key], 2
-    raise ConfigurationError(f"unknown problem {name!r}; known: {', '.join(problem_names())}")
 
 
 def make_problem(name: str, n_var: int | None = None, n_obj: int | None = None) -> ProblemSpec:

@@ -17,12 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import default_dimensions, make_problem, problem_names
+from .benchmarks import make_problem, problem_names
 from .core import TemofError, UsageError
-from .harness import (ALGORITHM_NAMES, KNOWN_METRICS, AlgorithmSpec,
-                      ExperimentConfig, ProblemSelection, load_config,
-                      load_records, run_matrix, summarize, write_ranks,
-                      write_summary)
+from .harness import (ALGORITHM_NAMES, KNOWN_METRICS, ExperimentConfig,
+                      config_from_dict, load_config, load_records, run_matrix,
+                      summarize, write_ranks, write_summary)
 from .metrics import MC_DEFAULT_SAMPLES, gd, hv, igd
 
 
@@ -90,63 +89,47 @@ def _load_csv(path: str) -> np.ndarray:
     if not p.exists():
         raise UsageError(f"file not found: {path}")
     try:
-        data = np.loadtxt(p, delimiter=",", ndmin=2)
+        return np.loadtxt(p, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise UsageError(f"{path} is not a numeric CSV: {exc}") from None
-    return data
 
 
 def _config_from_flags(args) -> ExperimentConfig:
-    missing = [flag for flag, value in
-               (("--problem", args.problem), ("--algo", args.algo),
-                ("--n", args.n), ("--max-fes", args.max_fes))
-               if value is None]
-    if args.seeds is None and args.seed_list is None:
-        missing.append("--seeds")
-    if missing:
-        raise UsageError(
-            f"run needs either --config or the flags: {', '.join(missing)}")
+    seeds = None if args.seeds is None else list(range(args.seeds))
     if args.seed_list is not None:
         try:
-            seeds = tuple(int(s) for s in args.seed_list.split(","))
+            seeds = [int(s) for s in args.seed_list.split(",")]
         except ValueError:
             raise UsageError(f"--seed-list must be comma-separated integers, "
                              f"got {args.seed_list!r}") from None
-    else:
-        if args.seeds < 1:
-            raise UsageError(f"--seeds must be >= 1, got {args.seeds}")
-        seeds = tuple(range(args.seeds))
-    problems = tuple(ProblemSelection(name) for name in args.problem)
-    algorithms = tuple(AlgorithmSpec(name, p=args.p) for name in args.algo)
-    kwargs = {}
-    if args.metrics is not None:
-        kwargs["metrics"] = tuple(args.metrics)
-    if args.indicator_target is not None:
-        kwargs["indicator_target"] = args.indicator_target
-    if args.out is not None:
-        kwargs["output_dir"] = args.out
-    return ExperimentConfig(problems=problems, algorithms=algorithms, seeds=seeds,
-                            n=args.n, max_fes=args.max_fes,
-                            master_seed=args.master_seed, **kwargs)
+    missing = [flag for flag, value in
+               (("--problem", args.problem), ("--algo", args.algo), ("--seeds", seeds),
+                ("--n", args.n), ("--max-fes", args.max_fes))
+               if value is None]
+    if missing:
+        raise UsageError(
+            f"run needs either --config or the flags: {', '.join(missing)}")
+    raw = {"problems": args.problem, "seeds": seeds, "n": args.n, "max_fes": args.max_fes,
+           "algorithms": [{"name": name, "p": args.p} for name in args.algo],
+           "master_seed": args.master_seed, "metrics": args.metrics,
+           "indicator_target": args.indicator_target}
+    # a flag left unset keeps the config default
+    return config_from_dict({k: v for k, v in raw.items() if v is not None})
 
 
 def _cmd_bench_list() -> int:
     print(f"{'name':8} {'n_var':>5} {'n_obj':>5}  true front")
     for name in problem_names():
-        n_var, n_obj = default_dimensions(name)
         problem = make_problem(name)
         has_front = "yes" if problem.front_sampler is not None else "no"
-        print(f"{name:8} {n_var:>5} {n_obj:>5}  {has_front}")
+        print(f"{name:8} {problem.n_var:>5} {problem.n_obj:>5}  {has_front}")
     return 0
 
 
 def _cmd_run(args) -> int:
-    if args.config is not None:
-        config = load_config(args.config)
-        if args.out is not None:
-            config = dataclasses.replace(config, output_dir=args.out)
-    else:
-        config = _config_from_flags(args)
+    config = load_config(args.config) if args.config is not None else _config_from_flags(args)
+    if args.out is not None:
+        config = dataclasses.replace(config, output_dir=args.out)
 
     def progress(done, total, record):
         if args.quiet:

@@ -133,16 +133,12 @@ class ProblemSpec:
                 f"{self.name}: non-finite objectives {f[i]} for input {x[i]}")
         return f
 
-    def evaluate_one(self, x: np.ndarray) -> np.ndarray:
-        return self.evaluate_batch(np.asarray(x, dtype=float)[None, :])[0]
-
     def true_front(self, count: int) -> np.ndarray:
         if self.front_sampler is None:
             raise UnsupportedError(f"{self.name}: no true-front sampler available")
         if count < 1:
             raise UsageError(f"front sample count must be >= 1, got {count}")
-        front = np.asarray(self.front_sampler(count), dtype=float)
-        return front
+        return np.asarray(self.front_sampler(count), dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from temof import (ConfigurationError, UnsupportedError, UsageError,
-                   default_dimensions, make_problem, pareto_mask, problem_names,
-                   sample_true_front)
-from temof.benchmarks import _subsample
+                   make_problem, pareto_mask, problem_names, sample_true_front)
+from temof.benchmarks import _grid_front, _subsample
 
 
 class TestRegistry:
@@ -19,11 +21,6 @@ class TestRegistry:
 
     def test_case_insensitive(self):
         assert make_problem("dtlz2").name == "DTLZ2"
-
-    def test_default_dimensions_match_instances(self):
-        for name in problem_names():
-            problem = make_problem(name)
-            assert (problem.n_var, problem.n_obj) == default_dimensions(name)
 
     def test_dtlz_dimension_overrides(self):
         p = make_problem("DTLZ2", n_var=11, n_obj=5)
@@ -48,7 +45,7 @@ class TestHandValues:
     def test_dtlz1_optimal_tail(self):
         p = make_problem("DTLZ1")  # n_var=7, n_obj=3
         x = np.array([0.3, 0.7, 0.5, 0.5, 0.5, 0.5, 0.5])
-        f = p.evaluate_one(x)
+        f = p.evaluate_batch(x)[0]
         assert np.allclose(f, [0.5 * 0.3 * 0.7, 0.5 * 0.3 * 0.3, 0.5 * 0.7])
         assert np.isclose(f.sum(), 0.5)
 
@@ -56,81 +53,81 @@ class TestHandValues:
         p = make_problem("DTLZ1")
         x = np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
         # each tail var contributes 0.25 - cos(-10*pi) = -0.75, so g = 100*5*0.25
-        assert np.isclose(p.evaluate_one(x).sum(), 0.5 * (1 + 125.0))
+        assert np.isclose(p.evaluate_batch(x)[0].sum(), 0.5 * (1 + 125.0))
 
     def test_dtlz2_corners(self):
         p = make_problem("DTLZ2")
         x = np.full(12, 0.5)
         x[:2] = [0.0, 0.0]
-        assert np.allclose(p.evaluate_one(x), [1.0, 0.0, 0.0], atol=1e-12)
+        assert np.allclose(p.evaluate_batch(x)[0], [1.0, 0.0, 0.0], atol=1e-12)
         x[:2] = [1.0, 0.0]
-        assert np.allclose(p.evaluate_one(x), [0.0, 0.0, 1.0], atol=1e-12)
+        assert np.allclose(p.evaluate_batch(x)[0], [0.0, 0.0, 1.0], atol=1e-12)
         x[:2] = [1.0, 1.0]
-        assert np.allclose(p.evaluate_one(x), [0.0, 0.0, 1.0], atol=1e-12)
+        assert np.allclose(p.evaluate_batch(x)[0], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_dtlz2_off_optimum_scales_by_g(self):
         p = make_problem("DTLZ2")
         x = np.zeros(12)  # tail at 0 gives g = 10 * 0.25 = 2.5
-        f = p.evaluate_one(x)
+        f = p.evaluate_batch(x)[0]
         assert np.allclose(f, [3.5, 0.0, 0.0], atol=1e-12)
 
     def test_dtlz3_same_shape_harder_g(self):
         p3 = make_problem("DTLZ3")
         x = np.full(12, 0.5)
         x[:2] = [0.25, 0.75]
-        f3 = p3.evaluate_one(x)
-        f2 = make_problem("DTLZ2").evaluate_one(x)
+        f3 = p3.evaluate_batch(x)[0]
+        f2 = make_problem("DTLZ2").evaluate_batch(x)[0]
         assert np.allclose(f3, f2, atol=1e-12)  # g = 0 at tail 0.5 for both
 
     def test_dtlz4_bias_collapses_small_coordinates(self):
         p = make_problem("DTLZ4")
         x = np.full(12, 0.5)
         x[:2] = [0.9, 0.9]  # 0.9**100 ~ 2.6e-5, so angles collapse to ~0
-        assert np.allclose(p.evaluate_one(x), [1.0, 0.0, 0.0], atol=1e-3)
+        assert np.allclose(p.evaluate_batch(x)[0], [1.0, 0.0, 0.0], atol=1e-3)
 
     def test_dtlz5_degenerate_curve(self):
         p = make_problem("DTLZ5")
         x = np.full(12, 0.5)
         x[0] = 0.0
         c = np.cos(np.pi / 4)
-        assert np.allclose(p.evaluate_one(x), [c, c, 0.0], atol=1e-12)
+        assert np.allclose(p.evaluate_batch(x)[0], [c, c, 0.0], atol=1e-12)
         x[0] = 1.0
-        assert np.allclose(p.evaluate_one(x), [0.0, 0.0, 1.0], atol=1e-12)
+        assert np.allclose(p.evaluate_batch(x)[0], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_dtlz6_optimum_at_zero_tail(self):
         p = make_problem("DTLZ6")
         x = np.zeros(12)
         x[0] = 1.0
-        assert np.allclose(p.evaluate_one(x), [0.0, 0.0, 1.0], atol=1e-12)
+        assert np.allclose(p.evaluate_batch(x)[0], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_dtlz7_at_zero(self):
         p = make_problem("DTLZ7")
         x = np.zeros(22)
-        assert np.allclose(p.evaluate_one(x), [0.0, 0.0, 6.0], atol=1e-12)
+        assert np.allclose(p.evaluate_batch(x)[0], [0.0, 0.0, 6.0], atol=1e-12)
 
     def test_zdt1_endpoints(self):
         p = make_problem("ZDT1")
-        assert np.allclose(p.evaluate_one(np.zeros(30)), [0.0, 1.0])
+        assert np.allclose(p.evaluate_batch(np.zeros(30))[0], [0.0, 1.0])
         x = np.zeros(30)
         x[0] = 1.0
-        assert np.allclose(p.evaluate_one(x), [1.0, 0.0])
-        assert np.allclose(p.evaluate_one(np.ones(30)), [1.0, 10.0 - np.sqrt(10.0)])
+        assert np.allclose(p.evaluate_batch(x)[0], [1.0, 0.0])
+        assert np.allclose(p.evaluate_batch(np.ones(30))[0], [1.0, 10.0 - np.sqrt(10.0)])
 
     def test_zdt2_endpoint(self):
-        assert np.allclose(make_problem("ZDT2").evaluate_one(np.zeros(30)), [0.0, 1.0])
+        assert np.allclose(make_problem("ZDT2").evaluate_batch(np.zeros(30))[0], [0.0, 1.0])
 
     def test_zdt3_endpoint(self):
-        assert np.allclose(make_problem("ZDT3").evaluate_one(np.zeros(30)), [0.0, 1.0])
+        assert np.allclose(make_problem("ZDT3").evaluate_batch(np.zeros(30))[0], [0.0, 1.0])
 
     def test_zdt4_optimal_tail(self):
         p = make_problem("ZDT4")
         x = np.zeros(10)
         x[0] = 0.5
-        assert np.allclose(p.evaluate_one(x), [0.5, 1.0 - np.sqrt(0.5)])
+        assert np.allclose(p.evaluate_batch(x)[0], [0.5, 1.0 - np.sqrt(0.5)])
 
     def test_zdt6_endpoint(self):
         p = make_problem("ZDT6")
-        assert np.allclose(p.evaluate_one(np.zeros(10)), [1.0, 0.0])
+        assert np.allclose(p.evaluate_batch(np.zeros(10))[0], [1.0, 0.0])
 
 
 class TestFrontSamplers:
@@ -201,6 +198,60 @@ class TestFrontSamplers:
                 best = objs[i, 1]
         expected = _subsample(objs[keep], count)
         assert np.array_equal(sample_true_front(make_problem("ZDT3"), count), expected)
+
+    @pytest.mark.parametrize("count", [1, 7, 50, 333, 2000])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_dtlz7_front_matches_scan_oracle(self, m, count):
+        # the sampler's former pareto_mask grid scan, kept verbatim as the reference
+        for factor in (12, 48, 192):
+            if m == 2:
+                grid = np.linspace(0.0, 1.0, factor * count)[:, None]
+            else:
+                side = math.ceil(math.sqrt(factor * count))
+                g1, g2 = np.meshgrid(np.linspace(0.0, 1.0, side),
+                                     np.linspace(0.0, 1.0, side))
+                grid = np.column_stack([g1.ravel(), g2.ravel()])
+            h = m - (grid * (1.0 + np.sin(3.0 * np.pi * grid))).sum(axis=1)
+            objs = np.column_stack([grid, h])
+            objs = objs[pareto_mask(objs)]
+            if objs.shape[0] >= count:
+                break
+        expected = _subsample(objs, count)
+        front = sample_true_front(make_problem("DTLZ7", n_obj=m), count)
+        assert np.array_equal(front, expected)
+
+    @pytest.mark.parametrize("shape", [(1,), (200,), (1, 9), (9, 1), (15, 15), (12, 17)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_grid_front_matches_pareto_mask(self, shape):
+        axes = np.meshgrid(*(np.arange(n, dtype=float) for n in shape), indexing="ij")
+        rng = np.random.default_rng(sum(shape))
+        for _ in range(20):
+            h = np.round(rng.random(shape), 1)  # one decimal forces ties
+            objs = np.column_stack([a.ravel() for a in axes] + [h.ravel()])
+            assert np.array_equal(_grid_front(h).ravel(), pareto_mask(objs))
+
+    @pytest.mark.parametrize("name, n_obj", [
+        *((name, None) for name in problem_names() if name != "DTLZ7"),
+        pytest.param("DTLZ7", None, marks=pytest.mark.xfail(
+            strict=True, reason="the sampled DTLZ7 f_M = M - sum f_i(1 + sin 3 pi f_i) is M "
+                                "below the attainable 2M - sum f_i(1 + sin 3 pi f_i) at g = 1")),
+        ("DTLZ2", 5)])
+    def test_front_matches_evaluator_images(self, name, n_obj):
+        # images of Pareto-optimal preimages and the sampled front lie within
+        # sampling density of each other, in both directions
+        problem = make_problem(name, n_obj=n_obj)
+        positions = problem.n_obj - 1 if name.startswith("DTLZ") else 1
+        tail = 0.5 if name in ("DTLZ1", "DTLZ2", "DTLZ3", "DTLZ4", "DTLZ5") else 0.0
+        x = np.full((10_000, problem.n_var), tail)
+        x[:, :positions] = np.random.default_rng(0).random((x.shape[0], positions))
+        if name == "DTLZ4":
+            x[:, :positions] **= 0.01  # undo the x**100 bias so images cover the front
+        images = problem.evaluate_batch(x)
+        images = images[pareto_mask(images)]
+        front = sample_true_front(problem, 300 if problem.n_obj <= 3 else 1000)
+        tol = 0.1 if problem.n_obj <= 3 else 0.3
+        assert cKDTree(images).query(front)[0].max() < tol
+        assert cKDTree(front).query(images)[0].max() < tol
 
     def test_zdt6_front_matches_evaluator_minimum(self):
         problem = make_problem("ZDT6")

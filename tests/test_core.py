@@ -71,11 +71,6 @@ class TestProblemSpec:
         with pytest.raises(EvaluationError, match="nanny"):
             p.evaluate_batch(np.zeros((3, 2)))
 
-    def test_evaluate_one_matches_batch(self):
-        p = sphere_problem()
-        x = np.full(4, 0.25)
-        assert np.array_equal(p.evaluate_one(x), p.evaluate_batch(x[None, :])[0])
-
     def test_wrong_input_width(self):
         with pytest.raises(UsageError):
             sphere_problem().evaluate_batch(np.zeros((2, 3)))

@@ -536,6 +536,13 @@ class TestCli:
         assert cli_main(["run", "--problem", "ZDT1"]) == 2
         assert "needs either --config" in capsys.readouterr().err
 
+    def test_run_zero_seeds(self, tmp_path, capsys):
+        rc = cli_main(["run", "--problem", "ZDT1", "--algo", "nsga3", "--seeds", "0",
+                       "--n", "10", "--max-fes", "50", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_run_config_with_bad_value(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"problems": ["ZDT1"], "algorithms": ["nsga3"],
