@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import numpy.random  # numpy 2 loads it on first use, which in a worker is inside a timed run
 
 
 class TemofError(Exception):

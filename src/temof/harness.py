@@ -307,6 +307,10 @@ def _execute_run(task: RunTask) -> RunRecord:
     config, algo = task.config, task.algorithm
     problem = make_problem(task.problem.name, task.problem.n_var, task.problem.n_obj)
     key = RngKey(config.master_seed, task.seed)
+    # sampled first, so an unscorable cell fails before it optimizes; freeing
+    # the sampler's large temporaries first also raises glibc's mmap threshold,
+    # so a fresh worker's run reuses heap memory instead of faulting in pages
+    front = problem.true_front(config.igd_reference_size)
     start = time.perf_counter()
     if algo.name == "nsga3":
         population, fes = nsga3_run(problem, config.n, config.max_fes, key,
@@ -321,7 +325,6 @@ def _execute_run(task: RunTask) -> RunRecord:
         target = (result.archive if config.indicator_target == "archive"
                   else result.population).objectives
     wall_ms = (time.perf_counter() - start) * 1000.0
-    front = problem.true_front(config.igd_reference_size)
     values = {}
     for metric in config.metrics:
         if metric == "IGD":

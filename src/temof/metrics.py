@@ -9,12 +9,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .core import UsageError, rng_stream
 
 MC_DEFAULT_SAMPLES = 1_000_000
 _MC_CHUNK_BYTES = 8 * 2**20  # working memory of one Monte Carlo chunk
+_DISTANCE_BLOCK = 2**15  # entries of one distance plane (256 KiB), so it stays in cache
 
 
 @dataclass(frozen=True)
@@ -35,21 +35,53 @@ def _check_sets(a: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray, np
     if a.shape[1] != b.shape[1]:
         raise UsageError(
             f"{what}: dimension mismatch, {a.shape[1]} vs {b.shape[1]} objectives")
+    _check_finite(a, what, "solution set")
+    _check_finite(b, what, "reference set")
     return a, b
+
+
+def _check_finite(a: np.ndarray, what: str, name: str) -> None:
+    if not np.isfinite(a).all():
+        raise UsageError(f"{what}: {name} holds NaN or infinity")
+
+
+def _squared_distance_planes(solution: np.ndarray, reference: np.ndarray):
+    """Squared distances from a block of solution rows to every reference row.
+
+    Yields one (block x reference) plane per block of consecutive solution
+    rows.  The squared differences are summed one objective column at a time,
+    in sequence, which is scipy's cdist order, so the square roots of the
+    minima equal cdist's minima bit for bit.
+    """
+    rows = max(1, _DISTANCE_BLOCK // reference.shape[0])
+    cols = [np.ascontiguousarray(c) for c in reference.T]
+    for start in range(0, solution.shape[0], rows):
+        block = solution[start:start + rows]
+        d = block[:, 0, None] - cols[0]
+        plane = d * d
+        for j, col in enumerate(cols[1:], 1):
+            np.subtract(block[:, j, None], col, out=d)
+            d *= d
+            plane += d
+        yield plane
 
 
 def igd(solution: np.ndarray, reference: np.ndarray) -> IndicatorResult:
     """Mean distance from each reference point to its nearest solution point."""
     solution, reference = _check_sets(solution, reference, "igd")
-    value = cdist(reference, solution).min(axis=1).mean()
-    return IndicatorResult("IGD", float(value))
+    nearest = np.full(reference.shape[0], np.inf)
+    for plane in _squared_distance_planes(solution, reference):
+        np.minimum(nearest, plane.min(axis=0), out=nearest)
+    # sqrt is monotone, so the root of the minimum is the minimum of the roots
+    return IndicatorResult("IGD", float(np.sqrt(nearest).mean()))
 
 
 def gd(solution: np.ndarray, reference: np.ndarray) -> IndicatorResult:
     """Mean distance from each solution point to its nearest reference point."""
     solution, reference = _check_sets(solution, reference, "gd")
-    value = cdist(solution, reference).min(axis=1).mean()
-    return IndicatorResult("GD", float(value))
+    nearest = np.concatenate([plane.min(axis=1) for plane
+                              in _squared_distance_planes(solution, reference)])
+    return IndicatorResult("GD", float(np.sqrt(nearest).mean()))
 
 
 def _hv_2d(points: np.ndarray, ref: np.ndarray) -> float:
@@ -112,10 +144,10 @@ def hv(solution: np.ndarray, ref_point: np.ndarray, *, mode: str = "auto",
     """Hypervolume dominated by the solution set relative to a reference point.
 
     Only points strictly below the reference point in every objective
-    contribute.  mode "auto" computes exactly for <= 3 objectives and falls
-    back to Monte Carlo above; "exact" and "monte_carlo" force a method.
-    The Monte Carlo path uses the supplied generator or a fixed default
-    stream, so repeated calls agree.
+    contribute; a NaN or infinite coordinate is an error.  mode "auto"
+    computes exactly for <= 3 objectives and falls back to Monte Carlo above;
+    "exact" and "monte_carlo" force a method.  The Monte Carlo path uses the
+    supplied generator or a fixed default stream, so repeated calls agree.
     """
     pts = np.atleast_2d(np.asarray(solution, dtype=float))
     ref = np.asarray(ref_point, dtype=float).reshape(-1)
@@ -127,6 +159,8 @@ def hv(solution: np.ndarray, ref_point: np.ndarray, *, mode: str = "auto",
             f"reference point of length {ref.shape[0]}")
     if mode not in ("auto", "exact", "monte_carlo"):
         raise UsageError(f"hv: unknown mode {mode!r}")
+    _check_finite(pts, "hv", "solution set")
+    _check_finite(ref, "hv", "reference point")
     pts = pts[(pts < ref).all(axis=1)]
     if mode == "auto":
         mode = "exact" if ref.shape[0] <= 3 else "monte_carlo"

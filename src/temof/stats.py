@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
 
 from .core import UsageError
 
@@ -22,6 +21,7 @@ HIGHER_IS_BETTER = "higher_is_better"
 
 RANKSUM_EXACT_MAX = 20   # combined sample size bound for the exact rank-sum null
 SIGNED_RANK_EXACT_MAX = 25
+_SQRT_HALF = math.sqrt(0.5)
 
 
 def _check_orientation(orientation: str) -> None:
@@ -61,6 +61,38 @@ class FriedmanResult:
     chi_square: float
 
 
+def _midranks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks 1..n of x, ties sharing their mean rank, and the size of each tie group.
+
+    The ranks equal scipy's rankdata(x) exactly: a group covering sorted
+    positions start..end-1 gets (start + 1 + end) / 2, a whole or half integer.
+    """
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, x.size])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((2 * starts + 1 + counts) / 2.0, counts)
+    return ranks, counts
+
+
+def _tie_term(counts: np.ndarray) -> float:
+    return float(((counts ** 3) - counts).sum())
+
+
+def _normal_cdf(z: float) -> float:
+    """Standard normal CDF, branch for branch as scipy's ndtr.
+
+    math.erf/erfc stand in for cephes, so values agree with scipy.stats.norm
+    to about 1e-14 relative, not bit for bit.
+    """
+    x = z * _SQRT_HALF
+    if abs(x) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(x)
+    tail = 0.5 * math.erfc(abs(x))
+    return 1.0 - tail if x > 0 else tail
+
+
 def _ranksum_exact_p(n1: int, n2: int, r: int) -> float:
     """Two-sided exact p for rank sum r of the first group, no ties."""
     n = n1 + n2
@@ -94,21 +126,18 @@ def ranksum_p(a, b) -> tuple[float, float, str]:
     n1, n2 = a.size, b.size
     n = n1 + n2
     pooled = np.concatenate([a, b])
-    ranks = rankdata(pooled)
+    ranks, counts = _midranks(pooled)
     r_a = float(ranks[:n1].sum())
-    if np.ptp(pooled) == 0.0:
+    if counts.size == 1:
         return 1.0, r_a, "degenerate"
-    has_ties = np.unique(pooled).size < n
-    if n <= RANKSUM_EXACT_MAX and not has_ties:
+    if n <= RANKSUM_EXACT_MAX and counts.size == n:
         return _ranksum_exact_p(n1, n2, int(round(r_a))), r_a, "exact"
     mu = n1 * (n + 1) / 2.0
-    _, counts = np.unique(pooled, return_counts=True)
-    tie_term = float(((counts ** 3) - counts).sum())
-    var = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
+    var = n1 * n2 / 12.0 * ((n + 1) - _tie_term(counts) / (n * (n - 1)))
     if var <= 0:
         return 1.0, r_a, "degenerate"
     z = (abs(r_a - mu) - 0.5) / math.sqrt(var)
-    p = min(1.0, 2.0 * float(norm.sf(max(z, 0.0))))
+    p = min(1.0, 2.0 * _normal_cdf(-max(z, 0.0)))
     return p, r_a, "normal"
 
 
@@ -171,7 +200,7 @@ def signed_rank(a, b, orientation: str = LOWER_IS_BETTER) -> SignedRankResult:
     n_eff = int(gain.size)
     if n_eff == 0:
         return SignedRankResult(0.0, 0.0, 1.0, 0, "degenerate")
-    ranks = rankdata(np.abs(gain))
+    ranks, counts = _midranks(np.abs(gain))
     r_plus = float(ranks[gain > 0].sum())
     r_minus = float(ranks[gain < 0].sum())
     if n_eff <= SIGNED_RANK_EXACT_MAX:
@@ -179,13 +208,11 @@ def signed_rank(a, b, orientation: str = LOWER_IS_BETTER) -> SignedRankResult:
         return SignedRankResult(r_plus, r_minus, p, n_eff, "exact")
     t = min(r_plus, r_minus)
     mu = n_eff * (n_eff + 1) / 4.0
-    _, counts = np.unique(np.abs(gain), return_counts=True)
-    tie_term = float(((counts ** 3) - counts).sum())
-    var = n_eff * (n_eff + 1) * (2 * n_eff + 1) / 24.0 - tie_term / 48.0
+    var = n_eff * (n_eff + 1) * (2 * n_eff + 1) / 24.0 - _tie_term(counts) / 48.0
     if var <= 0:
         return SignedRankResult(r_plus, r_minus, 1.0, n_eff, "degenerate")
     z = (t - mu + 0.5) / math.sqrt(var)
-    p = min(1.0, 2.0 * float(norm.cdf(z)))
+    p = min(1.0, 2.0 * _normal_cdf(z))
     return SignedRankResult(r_plus, r_minus, p, n_eff, "normal")
 
 
@@ -206,14 +233,12 @@ def friedman_ranks(matrix, orientation: str = LOWER_IS_BETTER) -> FriedmanResult
         raise UsageError("Friedman ranking requires finite values")
     n, k = m.shape
     oriented = m if orientation == LOWER_IS_BETTER else -m
-    ranks = np.vstack([rankdata(row) for row in oriented])
+    ranked = [_midranks(row) for row in oriented]
+    ranks = np.vstack([row_ranks for row_ranks, _ in ranked])
     mean_ranks = ranks.mean(axis=0)
     col_sums = ranks.sum(axis=0)
     chisq = 12.0 / (n * k * (k + 1)) * (col_sums ** 2).sum() - 3.0 * n * (k + 1)
-    ties = 0.0
-    for row in oriented:
-        _, counts = np.unique(row, return_counts=True)
-        ties += float(((counts ** 3) - counts).sum())
+    ties = sum(_tie_term(counts) for _, counts in ranked)
     correction = 1.0 - ties / (n * k * (k * k - 1))
     chi_square = 0.0 if correction <= 0 else chisq / correction
     mean_ranks.flags.writeable = False

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
 from temof import (ConfigurationError, UnsupportedError, UsageError,
@@ -263,6 +264,16 @@ class TestFrontSamplers:
         f1 = problem.evaluate_batch(x)[:, 0]
         assert f1.min() >= front[0, 0] - 1e-6
         assert front[0, 0] <= f1.min() + 1e-3
+
+    def test_zdt6_front_starts_at_bounded_brent_minimum(self):
+        # the constant is what the sampler computed with scipy before
+        res = minimize_scalar(
+            lambda t: 1.0 - np.exp(-4.0 * t) * np.sin(6.0 * np.pi * t) ** 6,
+            bounds=(0.0, 1.0 / 6.0), method="bounded", options={"xatol": 1e-12})
+        for count in (1, 2, 200, 10_000):
+            front = sample_true_front(make_problem("ZDT6"), count)
+            assert np.array_equal(front[:, 0], np.linspace(res.fun, 1.0, count))
+            assert np.array_equal(front[:, 1], 1.0 - front[:, 0] ** 2)
 
     def test_degenerate_sampler_dimension_limit(self):
         with pytest.raises(UnsupportedError):

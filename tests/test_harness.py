@@ -10,6 +10,7 @@ from temof import (AlgorithmSpec, ConfigurationError, ExperimentConfig,
                    ProblemSelection, RunRecord, UsageError, load_config,
                    load_records, run_matrix, summarize, write_ranks, write_summary)
 from temof.cli import main as cli_main
+from temof.core import ProblemSpec
 from temof.harness import config_from_dict, format_cell, format_sci
 
 
@@ -315,6 +316,21 @@ class TestRunMatrix:
         assert len(records) == 2
         assert not (tmp_path / "out" / "failures.csv").exists()
 
+    def test_unscorable_cell_fails_before_optimizing(self, tmp_path, monkeypatch):
+        def broken_sampler(self, count):
+            raise RuntimeError("sampler fault")
+
+        optimized = []
+        monkeypatch.setattr(ProblemSpec, "true_front", broken_sampler)
+        monkeypatch.setattr(harness, "nsga3_run", lambda *a, **k: optimized.append(a))
+        monkeypatch.setattr(harness, "temof_run", lambda *a, **k: optimized.append(a))
+        cfg = tiny_config(tmp_path / "out", seeds=(0,), metrics=("IGD",))
+        assert run_matrix(cfg, workers=1) == []
+        assert optimized == []
+        failures = read_rows(tmp_path / "out" / "failures.csv")
+        assert [f["algorithm"] for f in failures] == ["nsga3", "temof-nsga3"]
+        assert all("sampler fault" in f["error"] for f in failures)
+
     def test_parallel_output_matches_sequential(self, tmp_path):
         cfg1 = tiny_config(tmp_path / "seq")
         cfg2 = tiny_config(tmp_path / "par")
@@ -483,6 +499,22 @@ class TestCli:
         np.savetxt(ref, [[1.0, 1.0], [2.0, 2.0]], delimiter=",")
         assert cli_main(["metric", "hv", "--front", str(front), "--ref", str(ref)]) == 2
         assert "exactly one point" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", ["igd", "gd", "hv"])
+    @pytest.mark.parametrize("where", ["front", "ref"])
+    def test_metric_rejects_non_finite(self, tmp_path, capsys, metric, where):
+        files = {"front": [[0.25, 0.75], [0.75, 0.25]], "ref": [[1.0, 1.0]]}
+        files[where] = [*files[where][:-1], [float("nan"), 0.5]]
+        args = ["metric", metric]
+        for name, rows in files.items():
+            path = tmp_path / f"{name}.csv"
+            np.savetxt(path, rows, delimiter=",")
+            args += [f"--{name}", str(path)]
+        assert cli_main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {metric}: ")
+        assert "NaN or infinity" in captured.err
 
     def test_metric_missing_file(self, tmp_path, capsys):
         assert cli_main(["metric", "igd", "--front", str(tmp_path / "a.csv"),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import temof.metrics as metrics
 from temof import UsageError, gd, hv, igd
@@ -68,6 +69,57 @@ class TestIgdGd:
             igd([[1.0, 1.0]], np.empty((0, 2)))
         with pytest.raises(UsageError):
             gd([[1.0, 1.0]], [[1.0, 1.0, 1.0]])
+
+    @pytest.mark.parametrize("indicator", [igd, gd])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["solution", "reference"])
+    def test_non_finite_point_rejected(self, indicator, bad, side):
+        good = [[0.0, 1.0], [1.0, 0.0]]
+        holed = [[0.0, 1.0], [bad, 0.0]]
+        sets = (holed, good) if side == "solution" else (good, holed)
+        name = indicator.__name__
+        with pytest.raises(UsageError, match=f"^{name}: {side} set holds NaN or infinity"):
+            indicator(*sets)
+
+
+class TestDistanceOracle:
+    """igd and gd equal scipy's cdist(...).min(axis=1).mean() bit for bit."""
+
+    @staticmethod
+    def assert_matches_cdist(solution, reference):
+        solution = np.asarray(solution, dtype=float)
+        reference = np.asarray(reference, dtype=float)
+        assert igd(solution, reference).value == cdist(reference, solution).min(axis=1).mean()
+        assert gd(solution, reference).value == cdist(solution, reference).min(axis=1).mean()
+        planes = list(metrics._squared_distance_planes(solution, reference))
+        assert np.array_equal(np.sqrt(np.vstack(planes)), cdist(solution, reference))
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 17])
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    def test_dimensions_and_scales(self, m, scale):
+        rng = np.random.default_rng(m)
+        self.assert_matches_cdist(rng.random((126, m)) * scale,
+                                  (rng.random((3000, m)) - 0.25) * scale)
+
+    def test_duplicate_rows(self):
+        rng = np.random.default_rng(3)
+        base = rng.random((20, 3))
+        solution = np.vstack([base, base[:7], base[:7]])
+        reference = np.vstack([base[::2], rng.random((30, 3)), base[::2]])
+        self.assert_matches_cdist(solution, reference)
+
+    @pytest.mark.parametrize("n_sol, n_ref", [(1, 1), (1, 50), (50, 1), (1, 10_000)])
+    def test_one_row_sets(self, n_sol, n_ref):
+        rng = np.random.default_rng(n_sol + n_ref)
+        self.assert_matches_cdist(rng.random((n_sol, 4)), rng.random((n_ref, 4)))
+
+    @pytest.mark.parametrize("n_ref", [10_000, 4096, 7])
+    def test_solution_sizes_around_the_block(self, n_ref):
+        rows = metrics._DISTANCE_BLOCK // n_ref  # solution rows per plane
+        rng = np.random.default_rng(n_ref)
+        reference = rng.random((n_ref, 5))
+        for n_sol in sorted({1, rows - 1, rows, rows + 1, 2 * rows + 1} - {0}):
+            self.assert_matches_cdist(rng.random((n_sol, 5)), reference)
 
 
 class TestHvExact:
@@ -184,6 +236,16 @@ class TestHvValidation:
     def test_bad_sample_count(self):
         with pytest.raises(UsageError):
             hv([[0.5] * 4], [1.0] * 4, samples=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad):
+        with pytest.raises(UsageError, match="^hv: solution set holds NaN or infinity"):
+            hv([[0.5, 0.5], [bad, 0.25]], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reference_rejected(self, bad):
+        with pytest.raises(UsageError, match="^hv: reference point holds NaN or infinity"):
+            hv([[0.5, 0.5]], [1.0, bad])
 
     def test_nothing_dominates_reference(self):
         r = hv([[1.5, 0.5], [0.5, 1.5]], [1.0, 1.0])

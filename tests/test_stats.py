@@ -7,7 +7,7 @@ import scipy.stats
 
 from temof import (HIGHER_IS_BETTER, LOWER_IS_BETTER, UsageError, friedman_ranks,
                    ranksum_mark, signed_rank)
-from temof.stats import ranksum_p
+from temof.stats import _midranks, _normal_cdf, ranksum_p
 
 
 def ranksum_enumeration_p(a, b):
@@ -44,6 +44,48 @@ def signed_rank_enumeration_p(gains):
         if abs(t - mu) >= abs(t_obs - mu) - 1e-9:
             hits += 1
     return hits / 2 ** n
+
+
+class TestMidranksOracle:
+    """_midranks against scipy.stats.rankdata and numpy's tie counts."""
+
+    @staticmethod
+    def assert_matches(x):
+        x = np.asarray(x, dtype=float)
+        ranks, counts = _midranks(x)
+        assert np.array_equal(ranks, scipy.stats.rankdata(x))
+        assert np.array_equal(counts, np.unique(x, return_counts=True)[1])
+
+    @pytest.mark.parametrize("x", [
+        [3.0],
+        [2.0, 2.0, 2.0, 2.0],
+        [1.0, 2.0, 2.0, 3.0, 1.0, 2.0],
+        [0.0, -0.0, 1.0, -0.0, -1.0, 0.0],
+        [5.0, 4.0, 3.0, 2.0, 1.0],
+    ], ids=["single", "all-equal", "ties", "signed-zeros", "descending"])
+    def test_cases(self, x):
+        self.assert_matches(x)
+
+    def test_random_with_ties(self):
+        rng = np.random.default_rng(30)
+        for n in (2, 7, 22, 41, 300):
+            self.assert_matches(np.round(rng.normal(size=n), 1))
+            self.assert_matches(rng.normal(size=n))
+
+
+class TestNormalTailOracle:
+    def test_matches_scipy_norm(self):
+        z = np.linspace(-9.0, 9.0, 3601)
+        cdf = np.array([_normal_cdf(v) for v in z])
+        sf = np.array([_normal_cdf(-v) for v in z])
+        assert np.allclose(cdf, scipy.stats.norm.cdf(z), rtol=1e-13, atol=0.0)
+        assert np.allclose(sf, scipy.stats.norm.sf(z), rtol=1e-13, atol=0.0)
+
+    def test_branch_edges(self):
+        # the erf branch ends where |z| / sqrt(2) reaches sqrt(1/2), near |z| = 1
+        near_one = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)]
+        for z in [0.0, -0.0, 1e-300, -40.0, 40.0, *near_one, *(-v for v in near_one)]:
+            assert _normal_cdf(z) == pytest.approx(scipy.stats.norm.cdf(z), rel=1e-13, abs=0)
 
 
 class TestRanksumExact:
