@@ -96,6 +96,15 @@ def _hv_2d(points: np.ndarray, ref: np.ndarray) -> float:
     return area
 
 
+def _sorted_levels(values: np.ndarray) -> np.ndarray:
+    """The distinct values in ascending order, as `np.unique` gives them.
+
+    `np.unique` lazily imports `numpy.ma` (about 11 ms) on its first call.
+    """
+    levels = np.sort(values)
+    return levels[np.concatenate(([True], levels[1:] != levels[:-1]))]
+
+
 def _hv_exact(points: np.ndarray, ref: np.ndarray) -> float:
     """Dimension sweep on the last coordinate; recursion bottoms out at 2-D."""
     if points.shape[0] == 0:
@@ -104,7 +113,7 @@ def _hv_exact(points: np.ndarray, ref: np.ndarray) -> float:
         return float(ref[0] - points[:, 0].min())
     if points.shape[1] == 2:
         return _hv_2d(points, ref)
-    levels = np.unique(points[:, -1])
+    levels = _sorted_levels(points[:, -1])
     volume = 0.0
     for i, z in enumerate(levels):
         top = levels[i + 1] if i + 1 < levels.size else ref[-1]
@@ -118,22 +127,24 @@ def _hv_monte_carlo(points: np.ndarray, ref: np.ndarray, samples: int,
     lo = points.min(axis=0)
     box = np.prod(ref - lo)
     n, m = points.shape
-    cols = np.ascontiguousarray(points.T)
-    # a sample row costs its m float64 draws, their transposed copy, and two
-    # n-wide boolean planes (the running cover and one comparison); the
-    # generator fills in order, so the chunk size never changes the value
+    # a sample costs its m float64 draws, their transposed copy, and one
+    # entry in each of two n x k boolean planes (the running cover and one
+    # comparison); the generator fills in order, so the chunk size never
+    # changes the value.  Do not shrink the cap: a plane row is one point's
+    # k samples, and short rows make every ufunc loop short again.
     rows = max(1, _MC_CHUNK_BYTES // (16 * m + 2 * n))
     hits = 0
     remaining = samples
     while remaining > 0:
         k = min(rows, remaining)
         draw = np.ascontiguousarray(rng.uniform(lo, ref, size=(k, m)).T)
-        # one comparison per objective, folded in place, is much faster than
-        # reducing over a last axis only m long
-        covered = draw[0][:, None] >= cols[0]
-        for d, c in zip(draw[1:], cols[1:]):
-            covered &= d[:, None] >= c
-        hits += int(covered.any(axis=1).sum())
+        # one row per point with the samples contiguous along it, so each
+        # comparison, the in-place fold and the final reduce over points run
+        # k-long inner loops instead of n-long ones
+        covered = draw[0] >= points[:, 0, None]
+        for d in range(1, m):
+            covered &= draw[d] >= points[:, d, None]
+        hits += int(np.logical_or.reduce(covered, axis=0).sum())
         remaining -= k
     return box * hits / samples
 
@@ -161,19 +172,19 @@ def hv(solution: np.ndarray, ref_point: np.ndarray, *, mode: str = "auto",
         raise UsageError(f"hv: unknown mode {mode!r}")
     _check_finite(pts, "hv", "solution set")
     _check_finite(ref, "hv", "reference point")
-    pts = pts[(pts < ref).all(axis=1)]
     if mode == "auto":
         mode = "exact" if ref.shape[0] <= 3 else "monte_carlo"
+    if mode == "exact" and ref.shape[0] > 3:
+        raise UsageError(
+            f"hv: exact mode supports at most 3 objectives, got {ref.shape[0]}")
+    if mode == "monte_carlo" and samples < 1:
+        raise UsageError(f"hv: samples must be >= 1, got {samples}")
+    pts = pts[(pts < ref).all(axis=1)]
     if pts.shape[0] == 0:
         return IndicatorResult("HV", 0.0, mode=mode,
                                samples=samples if mode == "monte_carlo" else None)
     if mode == "exact":
-        if ref.shape[0] > 3:
-            raise UsageError(
-                f"hv: exact mode supports at most 3 objectives, got {ref.shape[0]}")
         return IndicatorResult("HV", float(_hv_exact(pts, ref)))
-    if samples < 1:
-        raise UsageError(f"hv: samples must be >= 1, got {samples}")
     if rng is None:
         rng = rng_stream(0, 0, "hv-mc")
     value = _hv_monte_carlo(pts, ref, samples, rng)

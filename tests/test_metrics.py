@@ -4,6 +4,7 @@ from scipy.spatial.distance import cdist
 
 import temof.metrics as metrics
 from temof import UsageError, gd, hv, igd
+from temof.core import rng_stream
 
 
 def hv_grid_oracle_2d(points, ref, cells=2000):
@@ -33,6 +34,22 @@ def hv_monte_carlo_oracle(points, ref, samples, rng, rows=4096):
         hits += int(covered.sum())
         remaining -= k
     return box * hits / samples
+
+
+class LatticeGenerator:
+    """Stands in for a Generator: `uniform` ignores its bounds and returns
+    values from `levels` in a fixed cyclic sequence, one flat position after
+    another, so the values drawn never depend on how the caller chunks its
+    requests."""
+
+    def __init__(self, levels, period=1009):
+        self.sequence = np.random.default_rng(0).choice(levels, size=period)
+        self.drawn = 0
+
+    def uniform(self, low, high, size):
+        pos = self.drawn + np.arange(np.prod(size))
+        self.drawn += pos.size
+        return self.sequence[pos % self.sequence.size].reshape(size)
 
 
 class TestIgdGd:
@@ -172,6 +189,22 @@ class TestHvExact:
         with pytest.raises(UsageError):
             hv([[0.5] * 4], [1.0] * 4, mode="exact")
 
+    def test_exact_mode_rejects_many_objectives_with_no_point_in_the_box(self):
+        with pytest.raises(UsageError, match="at most 3 objectives"):
+            hv([[2.0] * 4], [1.0] * 4, mode="exact")
+
+    @pytest.mark.parametrize("values", [
+        [0.5, 0.25, 0.5, 0.75, 0.25, 0.25],  # ties
+        [0.0, -0.0, 1.0, -0.0, 0.0],  # -0.0 beside 0.0
+        [-0.0, 0.0],
+        [0.3],  # a single value
+        [0.7, 0.7, 0.7],  # a single level
+        np.random.default_rng(16).integers(-4, 5, 500) * 0.25,
+    ])
+    def test_sorted_levels_match_unique(self, values):
+        values = np.asarray(values, dtype=float)
+        assert metrics._sorted_levels(values).tobytes() == np.unique(values).tobytes()
+
 
 class TestHvMonteCarlo:
     def test_auto_switches_above_three_objectives(self):
@@ -214,6 +247,38 @@ class TestHvMonteCarlo:
             assert value == hv_monte_carlo_oracle(pts, ref, 3000, oracle_rng)
             assert rng.random() == oracle_rng.random()  # the same draws were made
 
+    @pytest.mark.parametrize("samples", [3001, 10_007])
+    def test_lattice_ties_and_duplicates_match_oracle(self, monkeypatch, samples):
+        # samples equal to point coordinates make `>=` ties; repeated rows
+        # are duplicate points; neither sample count divides any chunk
+        levels = [0.0, 0.25, 0.5, 0.75, 0.9]
+        pts = np.random.default_rng(17).choice(levels[1:4], size=(12, 4))
+        pts = np.concatenate([pts, pts[:4]])
+        ref = np.ones(4)
+        for budget in (997, 100_003, metrics._MC_CHUNK_BYTES):
+            monkeypatch.setattr(metrics, "_MC_CHUNK_BYTES", budget)
+            rng, oracle_rng = LatticeGenerator(levels), LatticeGenerator(levels)
+            value = metrics._hv_monte_carlo(pts, ref, samples, rng)
+            assert value == hv_monte_carlo_oracle(pts, ref, samples, oracle_rng)
+            assert rng.drawn == oracle_rng.drawn == samples * 4
+            assert 0 < value < np.prod(ref - pts.min(axis=0))  # some samples miss
+
+    # values recorded with the sample-major coverage planes (k samples x n
+    # points) that came before the point-major ones; the draws, their order and
+    # the hit count must not change with the layout
+    @pytest.mark.parametrize("m, scale, seed, in_box, expected", [
+        (5, 1.3, 0, 66, "0.9401058182329926"),
+        (5, 1.3, 1, 57, "0.8115696342860548"),
+        (8, 1.22, 0, 53, "0.23726676001348856"),
+        (8, 1.22, 1, 58, "0.1980085089547361"),
+    ])
+    def test_pinned_values_at_a_million_samples(self, m, scale, seed, in_box, expected):
+        pts = np.random.default_rng(100 + m + seed).random((126, m)) * scale
+        ref = np.full(m, 1.1)
+        assert (pts < ref).all(axis=1).sum() == in_box
+        r = hv(pts, ref, samples=1_000_000, rng=rng_stream(3, seed, "hv-mc"))
+        assert (r.mode, r.samples, repr(r.value)) == ("monte_carlo", 1_000_000, expected)
+
     def test_forced_monte_carlo_on_2d_near_exact(self):
         pts = [[0.25, 0.75], [0.75, 0.25]]
         mc = hv(pts, [1.0, 1.0], mode="monte_carlo", samples=300_000).value
@@ -236,6 +301,10 @@ class TestHvValidation:
     def test_bad_sample_count(self):
         with pytest.raises(UsageError):
             hv([[0.5] * 4], [1.0] * 4, samples=0)
+
+    def test_bad_sample_count_with_no_point_in_the_box(self):
+        with pytest.raises(UsageError, match="samples must be >= 1"):
+            hv([[2.0] * 4], [1.0] * 4, samples=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_rejected(self, bad):

@@ -77,3 +77,19 @@ def test_run_and_reports_without_scipy(tmp_path):
     assert len(runs) == 1 + 2 * 2 * 11 * 3  # header, problems x algorithms x seeds x metrics
     assert "| Problem |" in proc.stdout
     assert "metric,algorithm,mean_rank" in proc.stdout
+
+
+def test_exact_hv_loads_no_masked_arrays(tmp_path):
+    # np.unique imports numpy.ma lazily, which would cost every worker's
+    # first 3-objective hypervolume about 11 ms
+    proc = run_without_scipy("""
+        from temof import hv
+
+        assert hv([[0.2, 0.5, 0.5], [0.5, 0.2, 0.5], [0.5, 0.5, 0.2]],
+                  [1.0, 1.0, 1.0], mode="exact").mode == "exact"
+        masked = sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))
+        assert masked == [], masked
+        print("ok")
+    """, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
