@@ -55,8 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--indicator-target", default=None,
                      choices=["population", "archive"])
     run.add_argument("--out", default=None, help="output directory")
-    run.add_argument("--workers", type=int, default=None,
-                     help="parallel worker processes (default: TEMOF_WORKERS or 1)")
+    run.add_argument("--workers", type=int, default=1,
+                     help="parallel worker processes (default: 1)")
     run.add_argument("--quiet", action="store_true", help="suppress per-run lines")
 
     report = sub.add_parser("report", help="summaries from saved runs")

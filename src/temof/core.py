@@ -239,12 +239,13 @@ def concat(*populations: Population) -> Population:
                       np.vstack([p.f for p in populations]))
 
 
-def merge_dedupe(a: Population, b: Population) -> tuple[Population, np.ndarray]:
+def merge_dedupe(a: Population, b: Population, *, n: int) -> Population:
     """Union of two populations with exact duplicate decision vectors dropped.
 
     Duplicates are detected by bitwise equality of the decision vector; the
-    first occurrence wins (all of `a` first, then `b`).  Also returns the
-    indices of the dropped rows into concat(a, b), in ascending order.
+    first occurrence wins (all of `a` first, then `b`).  If fewer than n rows
+    remain, the earliest dropped copies follow them, up to n rows in all;
+    n=0 is a pure dedupe.
     """
     both = concat(a, b)
     seen: set[bytes] = set()
@@ -257,7 +258,7 @@ def merge_dedupe(a: Population, b: Population) -> tuple[Population, np.ndarray]:
         else:
             seen.add(key)
             keep.append(i)
-    return both.take(keep), np.asarray(dropped, dtype=int)
+    return both.take(keep + dropped[:max(n - len(keep), 0)])
 
 
 def evaluate(problem: ProblemSpec, x: np.ndarray, budget: RunBudget) -> Population:

@@ -101,17 +101,19 @@ def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
               observer=None, disable_archive: bool = False) -> TemofResult:
     """Run the two-stage framework on one problem.
 
-    base_factory(problem, n, rng, variation) builds the base algorithm; the
-    default is the reference-point base (Nsga3Base).  With
-    disable_archive=True the archive is neither maintained nor mated from,
-    which reduces the loop to the plain base algorithm; the gate stream is
-    still advanced every generation so seeds stay comparable.
+    base_factory(problem, n, rng) builds the base algorithm's selection pair;
+    the default is the reference-point base (Nsga3Base).  variation defaults
+    to VariationParams().  With disable_archive=True the archive is neither
+    maintained nor mated from, which reduces the loop to the plain base
+    algorithm; the gate stream is still advanced every generation so seeds
+    stay comparable.
     """
     key = as_rng_key(seed)
     factory = base_factory if base_factory is not None else Nsga3Base
     budget = RunBudget(config.max_fes)
     population = initialize_population(problem, config.n, key.stream("init"), budget)
-    base = factory(problem, config.n, key.stream("selection"), variation)
+    base = factory(problem, config.n, key.stream("selection"))
+    variation = variation if variation is not None else VariationParams()
     gate_rng = key.stream("gate")
     var_rng = key.stream("variation")
     archive = population
@@ -127,20 +129,16 @@ def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
             source = stage_gate(fes_before, config.max_fes, config.p, u,
                                 config.stage_fraction)
         parents = archive if source is MatingSource.ARCHIVE else population
-        offspring = generate_offspring(parents, config.n, base.variation,
-                                       problem, budget, var_rng)
+        offspring = generate_offspring(parents, config.n, variation, problem, budget, var_rng)
         selected = base.environmental_selection(concat(population, offspring), config.n)
         if disable_archive:
             population = selected
         else:
             archive = base.first_front_selection(concat(archive, offspring), config.n)
-            union, dropped = merge_dedupe(selected, archive)
-            if len(union) < config.n:
-                # variation can copy a parent bit for bit; top the union back
-                # up to n with the earliest dropped copies
-                both = concat(selected, archive)
-                union = concat(union, both.take(dropped[:config.n - len(union)]))
-            population = base.environmental_selection(union, config.n)
+            # variation can copy a parent bit for bit, so the union is topped
+            # back up to n with the earliest dropped copies
+            population = base.environmental_selection(
+                merge_dedupe(selected, archive, n=config.n), config.n)
         trace.append(GenerationRecord(generation, fes_before, source, budget.fes))
         if observer is not None:
             observer(generation, budget.fes, source, population, archive)

@@ -15,7 +15,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
@@ -44,7 +43,6 @@ KNOWN_METRICS = ("IGD", "GD", "HV")
 INDICATOR_ORIENTATION = {"IGD": LOWER_IS_BETTER, "GD": LOWER_IS_BETTER,
                          "HV": HIGHER_IS_BETTER}
 ALGORITHM_NAMES = ("nsga3", "temof-nsga3")
-WORKERS_ENV_VAR = "TEMOF_WORKERS"
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +160,15 @@ class ExperimentConfig:
                     f"unknown metric {metric!r}; known: {', '.join(KNOWN_METRICS)}")
         if not self.metrics:
             raise ConfigurationError("experiment needs at least one metric")
+        if len(set(self.metrics)) != len(self.metrics):
+            raise ConfigurationError(f"metrics must be unique, got {list(self.metrics)}")
         if self.indicator_target not in ("population", "archive"):
             raise ConfigurationError(
                 f"indicator_target must be 'population' or 'archive', "
                 f"got {self.indicator_target!r}")
         if self.igd_reference_size < 1:
             raise ConfigurationError("igd_reference_size must be >= 1")
-        if self.hv_ref_scale <= 1.0:
+        if not self.hv_ref_scale > 1.0:  # NaN fails too
             raise ConfigurationError(
                 f"hv_ref_scale must exceed 1 so the reference point clears the "
                 f"front, got {self.hv_ref_scale}")
@@ -190,9 +190,12 @@ def _coerce(kind: type, value, key: str, where: str):
             or (kind is int and isinstance(value, float) and not value.is_integer())):
         raise ConfigurationError(message)
     try:
-        return kind(value)
+        value = kind(value)
     except (TypeError, ValueError):
         raise ConfigurationError(message) from None
+    if kind is float and not math.isfinite(value):  # json reads NaN and Infinity
+        raise ConfigurationError(f"{where} {key!r} must be finite, got {value!r}")
+    return value
 
 
 def _convert(cls, raw: dict, where: str) -> dict:
@@ -339,19 +342,6 @@ def _execute_run(task: RunTask) -> RunRecord:
     return RunRecord(task.problem.key, algo.key, task.seed, values, fes, wall_ms)
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ConfigurationError(f"worker count must be >= 1, got {workers}")
-    return workers
-
-
 def _read_runs(path: Path) -> dict[tuple[str, str, int], RunRecord]:
     """Existing runs keyed by (problem, algorithm, seed)."""
     records: dict[tuple[str, str, int], RunRecord] = {}
@@ -376,14 +366,15 @@ def _read_runs(path: Path) -> dict[tuple[str, str, int], RunRecord]:
     return records
 
 
-def run_matrix(config: ExperimentConfig, workers: int | None = None,
+def run_matrix(config: ExperimentConfig, workers: int = 1,
                progress=None) -> list[RunRecord]:
     """Execute every missing cell of the experiment matrix.
 
     Returns the full record list in matrix order.  progress, if given, is
     called as progress(done, total, record_or_none) after each cell.
     """
-    workers = _worker_count(workers)
+    if workers < 1:
+        raise ConfigurationError(f"worker count must be >= 1, got {workers}")
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     meta_path = out / METADATA_FILE

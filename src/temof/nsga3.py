@@ -229,25 +229,25 @@ def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray
     return picked
 
 
-def _fill(pop: Population, selected: np.ndarray, critical: np.ndarray | None, n: int,
-          refs: ReferencePointSet, state: NormalizationState,
-          rng: np.random.Generator) -> Population:
-    """Take the selected members, then niche the rest of n from the critical front.
+def _fill(pop: Population, fronts: list[np.ndarray], n: int, refs: ReferencePointSet,
+          state: NormalizationState, rng: np.random.Generator) -> Population:
+    """Keep whole fronts, then niche the last front down to what is left of n.
 
-    Normalization runs over every member considered, so the running ideal
+    Normalization runs over every member of the fronts, so the running ideal
     advances even when nothing is niched.  Niche counts start from the
-    selected members' associations.
+    associations of the fronts kept whole.
     """
-    if critical is None:
-        normalize(pop.f[selected], state)
-        return pop.take(selected)
-    normalized, _ = normalize(pop.f[np.concatenate([selected, critical])], state)
+    members = np.concatenate(fronts)
+    normalized, _ = normalize(pop.f[members], state)
+    if members.size <= n:
+        return pop.take(members)
+    critical = fronts[-1]
+    k = members.size - critical.size
     assoc, dist = associate(normalized, refs)
-    k = selected.size
     rho = np.bincount(assoc[:k], minlength=len(refs))
     picks = _niche_select(rho, assoc[k:], dist[k:], n - k, rng)
     chosen = critical[np.sort(np.asarray(picks, dtype=int))]
-    return pop.take(np.concatenate([selected, chosen]))
+    return pop.take(np.concatenate([members[:k], chosen]))
 
 
 def environmental_selection(pop: Population, n: int, refs: ReferencePointSet,
@@ -260,14 +260,9 @@ def environmental_selection(pop: Population, n: int, refs: ReferencePointSet,
     """
     if n < 1:
         raise UsageError(f"selection size must be >= 1, got {n}")
-    selected, critical = np.arange(len(pop)), None
-    if len(pop) > n:
-        fronts = sort_fronts(pop.f, cover=n)
-        selected = np.concatenate(fronts)
-        if selected.size > n:  # the last front does not fit: niche it
-            critical = fronts[-1]
-            selected = selected[:selected.size - critical.size]
-    return _fill(pop, selected, critical, n, refs, state, rng)
+    # a population that fits is kept in its own order, unsorted
+    fronts = sort_fronts(pop.f, cover=n) if len(pop) > n else [np.arange(len(pop))]
+    return _fill(pop, fronts, n, refs, state, rng)
 
 
 def first_front_selection(pop: Population, n: int, refs: ReferencePointSet,
@@ -280,22 +275,18 @@ def first_front_selection(pop: Population, n: int, refs: ReferencePointSet,
     """
     if n < 1:
         raise UsageError(f"selection size must be >= 1, got {n}")
-    first = sort_fronts(pop.f, cover=1)[0]
-    if first.size <= n:
-        return _fill(pop, first, None, n, refs, state, rng)
-    return _fill(pop, np.empty(0, dtype=int), first, n, refs, state, rng)
+    return _fill(pop, sort_fronts(pop.f, cover=1), n, refs, state, rng)
 
 
 class Nsga3Base:
-    """Selection pair plus variation parameters for the framework.
+    """Selection pair for the framework.
 
     Bundles the reference set sized to the population, a shared
     normalization state (the running ideal spans both selection variants),
     and the niching RNG stream.
     """
 
-    def __init__(self, problem: ProblemSpec, n: int, rng: np.random.Generator,
-                 variation: VariationParams | None = None):
+    def __init__(self, problem: ProblemSpec, n: int, rng: np.random.Generator):
         if n < problem.n_obj:
             raise ConfigurationError(
                 f"population size {n} is below n_obj={problem.n_obj}; "
@@ -303,7 +294,6 @@ class Nsga3Base:
         self.refs = reference_points_for(n, problem.n_obj)
         self.state = NormalizationState()
         self.rng = rng
-        self.variation = variation if variation is not None else VariationParams()
 
     def environmental_selection(self, pop: Population, n: int) -> Population:
         return environmental_selection(pop, n, self.refs, self.state, self.rng)
@@ -313,18 +303,14 @@ class Nsga3Base:
 
 
 def nsga3_run(problem: ProblemSpec, n: int, max_fes: int, seed: RngKey | int,
-              variation: VariationParams | None = None,
-              observer=None) -> tuple[Population, int]:
+              variation: VariationParams | None = None) -> tuple[Population, int]:
     """Plain generational NSGA-III: the framework loop with the archive off.
 
     Initializes n members (n FEs), then repeats offspring generation and
     environmental selection while the budget check FEs <= max_fes passes at
-    the top of the loop.  observer(generation, fes, population) is called
-    after every generation.  Returns (final population, FEs used).
+    the top of the loop.  Returns (final population, FEs used).
     """
     from .framework import FrameworkConfig, temof_run  # framework imports this module
-    hook = None if observer is None else (
-        lambda gen, fes, source, pop, archive: observer(gen, fes, pop))
     result = temof_run(problem, FrameworkConfig(n=n, max_fes=max_fes), seed,
-                       variation=variation, observer=hook, disable_archive=True)
+                       variation=variation, disable_archive=True)
     return result.population, result.fes

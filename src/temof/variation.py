@@ -31,7 +31,7 @@ class VariationParams:
             raise ConfigurationError(f"pc must be in [0, 1], got {self.pc}")
         if self.pm is not None and not 0.0 <= self.pm <= 1.0:
             raise ConfigurationError(f"pm must be in [0, 1], got {self.pm}")
-        if self.eta_c < 0 or self.eta_m < 0:
+        if not (self.eta_c >= 0 and self.eta_m >= 0):  # NaN fails too
             raise ConfigurationError(
                 f"distribution indices must be >= 0, got eta_c={self.eta_c}, eta_m={self.eta_m}")
 

@@ -154,32 +154,45 @@ class TestConcatAndMerge:
         a = Population(np.array([[0.5, 0.5], [0.1, 0.2]]), np.zeros((2, 2)))
         b = Population(np.array([[0.5, 0.5], [0.9, 0.9], [0.1, 0.2]]),
                        np.ones((3, 2)))
-        merged, dropped = merge_dedupe(a, b)
+        merged = merge_dedupe(a, b, n=0)
         assert len(merged) == 3
         # first occurrence wins: a's rows first, then b's novel row
         assert np.array_equal(merged.x, [[0.5, 0.5], [0.1, 0.2], [0.9, 0.9]])
         assert np.array_equal(merged.f[0], [0.0, 0.0])
-        # dropped rows are indices into concat(a, b), ascending
-        assert list(dropped) == [2, 4]
+
+    def test_merge_tops_up_with_earliest_dropped_copies(self):
+        a = Population(np.array([[0.5, 0.5], [0.1, 0.2]]), np.zeros((2, 2)))
+        b = Population(np.array([[0.5, 0.5], [0.9, 0.9], [0.1, 0.2]]),
+                       np.arange(6.0).reshape(3, 2))
+        kept = [[0.5, 0.5], [0.1, 0.2], [0.9, 0.9]]
+        for n in (0, 2, 3):  # n at or below the unique count: a pure dedupe
+            assert np.array_equal(merge_dedupe(a, b, n=n).x, kept)
+        # then b's copies of a's rows, in ascending order, up to n rows
+        top4 = merge_dedupe(a, b, n=4)
+        assert np.array_equal(top4.x, kept + [[0.5, 0.5]])
+        assert np.array_equal(top4.f[3], [0.0, 1.0])
+        for n in (5, 9):  # every dropped copy, and no more
+            merged = merge_dedupe(a, b, n=n)
+            assert np.array_equal(merged.x, kept + [[0.5, 0.5], [0.1, 0.2]])
+            assert np.array_equal(merged.f[3:], [[0.0, 1.0], [4.0, 5.0]])
 
     def test_merge_keeps_near_duplicates(self):
         eps = np.nextafter(0.5, 1.0)
         a = Population(np.array([[0.5, 0.5]]), np.zeros((1, 2)))
         b = Population(np.array([[eps, 0.5]]), np.ones((1, 2)))
-        merged, dropped = merge_dedupe(a, b)
-        assert len(merged) == 2 and dropped.size == 0
+        assert len(merge_dedupe(a, b, n=0)) == 2
 
     def test_merge_dedupes_within_one_side(self):
         a = Population(np.array([[0.5, 0.5], [0.5, 0.5]]), np.zeros((2, 2)))
         b = Population(np.zeros((1, 2)), np.ones((1, 2)))
-        merged, dropped = merge_dedupe(a, b)
-        assert len(merged) == 2 and list(dropped) == [1]
+        assert np.array_equal(merge_dedupe(a, b, n=0).x, [[0.5, 0.5], [0.0, 0.0]])
+        assert np.array_equal(merge_dedupe(a, b, n=3).x, [[0.5, 0.5], [0.0, 0.0], [0.5, 0.5]])
 
     def test_merge_dim_mismatch(self):
         a = Population(np.zeros((1, 2)), np.zeros((1, 2)))
         b = Population(np.zeros((1, 3)), np.zeros((1, 2)))
         with pytest.raises(ConfigurationError):
-            merge_dedupe(a, b)
+            merge_dedupe(a, b, n=0)
 
 
 class TestInitializeAndEvaluate:

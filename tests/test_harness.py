@@ -66,10 +66,18 @@ class TestConfigValidation:
                              seeds=(1, 1), n=10, max_fes=100)
 
     def test_hv_scale_must_clear_front(self):
-        with pytest.raises(ConfigurationError, match="hv_ref_scale"):
+        for scale in (1.0, float("nan")):
+            with pytest.raises(ConfigurationError, match="hv_ref_scale"):
+                ExperimentConfig(problems=(ProblemSelection("ZDT1"),),
+                                 algorithms=(AlgorithmSpec("nsga3"),),
+                                 seeds=(0,), n=10, max_fes=100, hv_ref_scale=scale)
+
+    def test_duplicate_metrics(self):
+        # each metric would write its runs.csv and ranks.csv rows twice
+        with pytest.raises(ConfigurationError, match="metrics must be unique"):
             ExperimentConfig(problems=(ProblemSelection("ZDT1"),),
                              algorithms=(AlgorithmSpec("nsga3"),),
-                             seeds=(0,), n=10, max_fes=100, hv_ref_scale=1.0)
+                             seeds=(0,), n=10, max_fes=100, metrics=("IGD", "IGD"))
 
     def test_population_below_objective_count_rejected(self):
         # the reference directions need n >= n_obj; the run would fail in every cell
@@ -158,6 +166,20 @@ class TestConfigFromDict:
                "n": 10, "max_fes": 100, key: value}
         with pytest.raises(ConfigurationError, match=f"config key '{named}' must be int"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("entry, named", [
+        ('"hv_ref_scale": NaN', "config key 'hv_ref_scale'"),
+        ('"hv_ref_scale": Infinity', "config key 'hv_ref_scale'"),
+        ('"hv_ref_scale": "nan"', "config key 'hv_ref_scale'"),
+        ('"algorithms": [{"name": "nsga3", "eta_c": NaN}]', "algorithm field 'eta_c'"),
+        ('"algorithms": [{"name": "nsga3", "eta_m": NaN}]', "algorithm field 'eta_m'")])
+    def test_non_finite_float_names_its_key(self, tmp_path, entry, named):
+        # json reads the NaN and Infinity literals; every cell would fail after optimizing
+        path = tmp_path / "cfg.json"
+        path.write_text('{"problems": ["ZDT1"], "algorithms": ["nsga3"], "seeds": [0], '
+                        '"n": 10, "max_fes": 100, ' + entry + "}")
+        with pytest.raises(ConfigurationError, match=f"{named} must be finite"):
+            load_config(path)
 
     def test_integral_float_is_an_int(self):
         cfg = config_from_dict({"problems": ["ZDT1"], "algorithms": ["nsga3"],
@@ -369,10 +391,10 @@ class TestRunMatrix:
         with pytest.raises(ConfigurationError, match=f"{runs} line 3: malformed run row"):
             load_records(tmp_path)
 
-    def test_workers_env_var(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TEMOF_WORKERS", "junk")
-        with pytest.raises(ConfigurationError, match="TEMOF_WORKERS"):
-            run_matrix(tiny_config(tmp_path / "out"))
+    def test_zero_workers_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="worker count must be >= 1, got 0"):
+            run_matrix(tiny_config(tmp_path / "out"), workers=0)
+        assert not (tmp_path / "out").exists()
 
 
 class TestFormatting:
@@ -573,6 +595,14 @@ class TestCli:
                        "--n", "10", "--max-fes", "50", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_run_repeated_metrics(self, tmp_path, capsys):
+        rc = cli_main(["run", "--problem", "ZDT1", "--algo", "nsga3", "--seeds", "1",
+                       "--n", "10", "--max-fes", "50", "--metrics", "IGD", "IGD",
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "error: metrics must be unique" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_run_config_with_bad_value(self, tmp_path, capsys):

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from temof import (ConfigurationError, NormalizationState, Nsga3Base, Population,
-                   ReferencePointSet, UsageError, associate, das_dennis,
+from temof import (ConfigurationError, FrameworkConfig, NormalizationState, Nsga3Base,
+                   Population, ReferencePointSet, UsageError, associate, das_dennis,
                    environmental_selection, first_front_selection, make_problem,
                    normalize, nsga3_run, reference_points_for, rng_stream,
-                   sort_fronts)
+                   sort_fronts, temof_run)
 from temof.nsga3 import _niche_select, choose_divisions
 
 
@@ -396,6 +396,82 @@ class TestFirstFrontSelection:
         assert niche_rng.random() == rng2.random()
 
 
+def _fill_oracle(pop, selected, critical, n, refs, state, rng):
+    """_fill with separate selected and critical index arrays, as first written."""
+    if critical is None:
+        normalize(pop.f[selected], state)
+        return pop.take(selected)
+    normalized, _ = normalize(pop.f[np.concatenate([selected, critical])], state)
+    assoc, dist = associate(normalized, refs)
+    k = selected.size
+    rho = np.bincount(assoc[:k], minlength=len(refs))
+    picks = _niche_select(rho, assoc[k:], dist[k:], n - k, rng)
+    chosen = critical[np.sort(np.asarray(picks, dtype=int))]
+    return pop.take(np.concatenate([selected, chosen]))
+
+
+def environmental_selection_oracle(pop, n, refs, state, rng):
+    if n < 1:
+        raise UsageError(f"selection size must be >= 1, got {n}")
+    selected, critical = np.arange(len(pop)), None
+    if len(pop) > n:
+        fronts = sort_fronts(pop.f, cover=n)
+        selected = np.concatenate(fronts)
+        if selected.size > n:  # the last front does not fit: niche it
+            critical = fronts[-1]
+            selected = selected[:selected.size - critical.size]
+    return _fill_oracle(pop, selected, critical, n, refs, state, rng)
+
+
+def first_front_selection_oracle(pop, n, refs, state, rng):
+    if n < 1:
+        raise UsageError(f"selection size must be >= 1, got {n}")
+    first = sort_fronts(pop.f, cover=1)[0]
+    if first.size <= n:
+        return _fill_oracle(pop, first, None, n, refs, state, rng)
+    return _fill_oracle(pop, np.empty(0, dtype=int), first, n, refs, state, rng)
+
+
+class TestSelectionMatchesOracle:
+    """Both selections against the two-body versions they replaced."""
+
+    @staticmethod
+    def sizes(pop):
+        """n below, at and above the first front, at the first two fronts and at len(pop)."""
+        fronts = sort_fronts(pop.f)
+        first = fronts[0].size
+        sizes = {first, first + 1, len(pop), len(pop) + 3}
+        if first > 1:
+            sizes.add(first - 1)
+        if len(fronts) > 1:
+            sizes.add(first + fronts[1].size)
+        return sorted(sizes)
+
+    @pytest.mark.parametrize("select, oracle", [
+        (environmental_selection, environmental_selection_oracle),
+        (first_front_selection, first_front_selection_oracle)])
+    def test_random_populations(self, select, oracle):
+        rng = np.random.default_rng(2024)
+        for trial in range(40):
+            m = int(rng.choice([2, 3, 5]))
+            size = int(rng.integers(2, 60))
+            f = np.round(rng.random((size, m)), int(rng.integers(1, 4)))  # ties too
+            pop = Population(np.arange(2.0 * size).reshape(size, 2), f)
+            refs = das_dennis(m, int(rng.integers(1, 6)))
+            state = NormalizationState()
+            if trial % 2:  # start some runs from an earlier ideal point
+                normalize(rng.random((3, m)), state)
+            state2 = copy.deepcopy(state)
+            niche_rng, rng2 = np.random.default_rng(trial), np.random.default_rng(trial)
+            for n in self.sizes(pop):  # one running state across the calls
+                got = select(pop, n, refs, state, niche_rng)
+                expected = oracle(pop, n, refs, state2, rng2)
+                assert np.array_equal(got.x, expected.x) and np.array_equal(got.f, expected.f)
+                assert np.array_equal(state.ideal, state2.ideal)
+                assert np.array_equal(state.intercepts, state2.intercepts)
+            assert niche_rng.random() == rng2.random()
+
+
 class TestNsga3Base:
     def test_reference_count_within_population_size(self):
         problem = make_problem("DTLZ2")
@@ -431,8 +507,8 @@ class TestNsga3Run:
     def test_observer_sees_every_generation(self):
         problem = make_problem("ZDT1", n_var=5)
         seen = []
-        nsga3_run(problem, 10, 50, 0,
-                  observer=lambda gen, fes, pop: seen.append((gen, fes, len(pop))))
+        temof_run(problem, FrameworkConfig(n=10, max_fes=50), 0, disable_archive=True,
+                  observer=lambda gen, fes, src, pop, arch: seen.append((gen, fes, len(pop))))
         assert [g for g, _, _ in seen] == list(range(1, len(seen) + 1))
         assert all(size == 10 for _, _, size in seen)
         assert seen[-1][1] == 60

@@ -27,6 +27,9 @@ class TestVariationParams:
             VariationParams(pm=-0.1)
         with pytest.raises(ConfigurationError):
             VariationParams(eta_c=-1)
+        for field in ("eta_c", "eta_m"):  # NaN fails every comparison
+            with pytest.raises(ConfigurationError, match="distribution indices"):
+                VariationParams(**{field: float("nan")})
 
 
 class TestMatingPool:
