@@ -314,6 +314,15 @@ def _execute_run(task: RunTask) -> RunRecord:
     # the sampler's large temporaries first also raises glibc's mmap threshold,
     # so a fresh worker's run reuses heap memory instead of faulting in pages
     front = problem.true_front(config.igd_reference_size)
+    # the box from the front's ideal point to the reference point bounds every
+    # HV the cell can score, so an overflowing one fails before optimizing
+    with np.errstate(over="ignore"):
+        ref = config.hv_ref_scale * front.max(axis=0)
+        box = np.prod(ref - front.min(axis=0))
+    if "HV" in config.metrics and not np.isfinite(box):
+        raise ConfigurationError(
+            f"hv_ref_scale {config.hv_ref_scale:g} overflows the HV reference box of "
+            f"{task.problem.key}")
     start = time.perf_counter()
     if algo.name == "nsga3":
         population, fes = nsga3_run(problem, config.n, config.max_fes, key,
@@ -335,7 +344,6 @@ def _execute_run(task: RunTask) -> RunRecord:
         elif metric == "GD":
             values[metric] = gd(target, front).value
         else:
-            ref = config.hv_ref_scale * front.max(axis=0)
             values[metric] = hv(target, ref, samples=config.hv_mc_samples,
                                 rng=rng_stream(config.master_seed, task.seed,
                                                "hv-mc")).value

@@ -192,12 +192,60 @@ def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
     return total
 
 
+class _BoundedDraws:
+    """Scalar rng.integers(r) draws replayed from one bulk draw of 32-bit words.
+
+    numpy draws integers(r) for 1 < r < 2**32 by Lemire's rule on the next
+    32-bit output: m = word * r is accepted when its low 32 bits are at least
+    (2**32 - r) % r, and the draw is m >> 32; a rejected word is skipped, and
+    r == 1 reads no word.  Applying that rule in Python to words drawn in bulk
+    costs a fraction of a scalar call.  On exit the generator is rewound and
+    redraws exactly the words used, so it ends where the scalar calls would
+    have left it, also when the block raises.
+    """
+
+    __slots__ = ("_rng", "_saved", "_words", "_used")
+
+    def __init__(self, rng: np.random.Generator, expected: int):
+        self._rng = rng
+        self._saved = rng.bit_generator.state
+        self._words = self._draw_words(max(expected, 1))
+        self._used = 0
+
+    def _draw_words(self, count: int) -> list[int]:
+        return self._rng.integers(0, 1 << 32, size=count, dtype=np.uint32).tolist()
+
+    def below(self, r: int) -> int:
+        """The next rng.integers(r), for 1 <= r < 2**32."""
+        if r == 1:
+            return 0
+        threshold = (0x100000000 - r) % r
+        words = self._words
+        while True:
+            if self._used == len(words):
+                words += self._draw_words(len(words))
+            m = words[self._used] * r
+            self._used += 1
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def __enter__(self) -> "_BoundedDraws":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._rng.bit_generator.state = self._saved
+        if self._used:
+            self._draw_words(self._used)
+
+
 def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray,
                   k: int, rng: np.random.Generator) -> list[int]:
     """Pick k critical-front members by Deb's niching loop.
 
     rho holds current niche counts per reference point (from the already
-    selected members).  Returns indices into the critical front arrays.
+    selected members).  Returns indices into the critical front arrays.  The
+    draws are rng.integers(len(ties)) and rng.integers(len(bucket)) in loop
+    order, replayed by _BoundedDraws.
     """
     rho = np.asarray(rho, dtype=float).tolist()
     # per reference: critical members ordered by distance, nearest first
@@ -209,23 +257,25 @@ def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray
     # references at the lowest niche count, ascending; a visit lifts j out of
     # this level, so the level is rescanned only once it is used up
     ties: list[int] = []
-    while len(picked) < k:
-        if not ties:
-            low = min(rho)
-            if low == math.inf:
-                raise UsageError("niching ran out of candidates before filling the slots")
-            ties = [j for j, count in enumerate(rho) if count == low]
-        j = ties.pop(int(rng.integers(len(ties))))
-        bucket = members[j]
-        if not bucket:
-            rho[j] = math.inf  # niche exhausted, never revisit
-            continue
-        if rho[j] == 0:
-            i = bucket.pop(0)  # nearest member of an empty niche
-        else:
-            i = bucket.pop(int(rng.integers(len(bucket))))
-        picked.append(i)
-        rho[j] += 1.0
+    # each turn makes at most two draws and either picks or exhausts a niche
+    with _BoundedDraws(rng, len(rho) + 2 * k) as draws:
+        while len(picked) < k:
+            if not ties:
+                low = min(rho)
+                if low == math.inf:
+                    raise UsageError("niching ran out of candidates before filling the slots")
+                ties = [j for j, count in enumerate(rho) if count == low]
+            j = ties.pop(draws.below(len(ties)))
+            bucket = members[j]
+            if not bucket:
+                rho[j] = math.inf  # niche exhausted, never revisit
+                continue
+            if rho[j] == 0:
+                i = bucket.pop(0)  # nearest member of an empty niche
+            else:
+                i = bucket.pop(draws.below(len(bucket)))
+            picked.append(i)
+            rho[j] += 1.0
     return picked
 
 

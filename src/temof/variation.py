@@ -76,19 +76,25 @@ def sbx_batch(p1: np.ndarray, p2: np.ndarray, params: VariationParams,
 def mutate_batch(x: np.ndarray, params: VariationParams,
                  lower: np.ndarray, upper: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
-    """Bounded polynomial mutation applied per variable with probability pm."""
+    """Bounded polynomial mutation applied per variable with probability pm.
+
+    Both power branches are computed at the mutating sites only, about 1/n_var
+    of the entries; every other entry is copied, then everything is clamped.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    span = upper - lower
     pm = params.mutation_prob(x.shape[1])
-    site = rng.random(x.shape) < pm
-    u = rng.random(x.shape)
-    d1 = (x - lower) / span
-    d2 = (upper - x) / span
+    rows, cols = np.nonzero(rng.random(x.shape) < pm)
+    u = rng.random(x.shape)[rows, cols]
+    xs, lo, up = x[rows, cols], lower[cols], upper[cols]
+    span = up - lo
+    d1 = (xs - lo) / span
+    d2 = (up - xs) / span
     exp = 1.0 / (params.eta_m + 1.0)
     low_side = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (params.eta_m + 1.0)) ** exp - 1.0
     high_side = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (params.eta_m + 1.0)) ** exp
     delta = np.where(u <= 0.5, low_side, high_side)
-    out = np.where(site, x + delta * span, x)
+    out = x.copy()
+    out[rows, cols] = xs + delta * span
     np.clip(out, lower, upper, out=out)
     return out
 

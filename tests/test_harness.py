@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +353,25 @@ class TestRunMatrix:
         failures = read_rows(tmp_path / "out" / "failures.csv")
         assert [f["algorithm"] for f in failures] == ["nsga3", "temof-nsga3"]
         assert all("sampler fault" in f["error"] for f in failures)
+
+    def test_overflowing_hv_reference_fails_before_optimizing(self, tmp_path, monkeypatch):
+        optimized = []
+        monkeypatch.setattr(harness, "nsga3_run", lambda *a, **k: optimized.append(a))
+        monkeypatch.setattr(harness, "temof_run", lambda *a, **k: optimized.append(a))
+        # 1e308 leaves ZDT1's reference point finite but its box infinite, and
+        # overflows DTLZ7's reference point itself
+        cfg = ExperimentConfig(
+            problems=(ProblemSelection("ZDT1"), ProblemSelection("DTLZ7")),
+            algorithms=(AlgorithmSpec("nsga3"),), seeds=(0,), n=12, max_fes=60,
+            metrics=("IGD", "HV"), hv_ref_scale=1e308, output_dir=str(tmp_path / "out"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            assert run_matrix(cfg, workers=1) == []
+        assert optimized == []
+        assert "inf" not in (tmp_path / "out" / "runs.csv").read_text()
+        failures = read_rows(tmp_path / "out" / "failures.csv")
+        assert [f["problem"] for f in failures] == ["ZDT1", "DTLZ7"]
+        assert all("hv_ref_scale" in f["error"] for f in failures)
 
     def test_parallel_output_matches_sequential(self, tmp_path):
         cfg1 = tiny_config(tmp_path / "seq")

@@ -9,7 +9,7 @@ from temof import (ConfigurationError, FrameworkConfig, NormalizationState, Nsga
                    environmental_selection, first_front_selection, make_problem,
                    normalize, nsga3_run, reference_points_for, rng_stream,
                    sort_fronts, temof_run)
-from temof.nsga3 import _niche_select, choose_divisions
+from temof.nsga3 import _BoundedDraws, _niche_select, choose_divisions
 
 
 class TestDasDennis:
@@ -310,7 +310,9 @@ class TestNicheSelect:
         assoc, dist = np.asarray(assoc), np.asarray(dist, dtype=float)
         got = _niche_select(rho.copy(), assoc, dist, k, rng)
         assert got == niche_select_oracle(rho.copy(), assoc, dist, k, oracle_rng)
-        assert rng.random() == oracle_rng.random()  # same draws, in the same order
+        # same draws, in the same order: the whole state, PCG64's buffered
+        # 32-bit half included, which the next random() would not read
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
         return got
 
     def test_zero_counts_and_memberless_niches(self):
@@ -345,10 +347,71 @@ class TestNicheSelect:
             self.check(rho, assoc, dist, int(rng.integers(1, size + 1)), seed)
 
     def test_too_few_candidates(self):
+        states = []
         for select in (_niche_select, niche_select_oracle):
+            rng = np.random.default_rng(0)
             with pytest.raises(UsageError, match="ran out"):
-                select(np.zeros(3), np.array([0, 1]), np.array([0.1, 0.2]), 3,
-                       np.random.default_rng(0))
+                select(np.zeros(3), np.array([0, 1]), np.array([0.1, 0.2]), 3, rng)
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1]  # the failed call's draws are still consumed
+
+
+def _scalar_and_replayed(rng, ranges, expected):
+    """(scalar integers(r) draws, final state) and the same from _BoundedDraws."""
+    start = rng.bit_generator.state
+    scalar = [int(rng.integers(r)) for r in ranges]
+    scalar_state = rng.bit_generator.state
+    rng.bit_generator.state = start
+    with _BoundedDraws(rng, expected) as draws:
+        replayed = [draws.below(r) for r in ranges]
+    return (scalar, scalar_state), (replayed, rng.bit_generator.state)
+
+
+class TestBoundedDrawsMatchNumpy:
+    """The numpy facts the niching replay rests on, checked by name.
+
+    Generator.integers(r) for 1 < r < 2**32 applies Lemire's rule to the next
+    32-bit output, integers(0, 2**32, dtype=uint32) returns those outputs,
+    and integers(1) reads nothing.  A numpy that changes any of these fails
+    here.
+    """
+
+    @pytest.mark.parametrize("half_word", [0, 1])
+    @pytest.mark.parametrize("ranges", [
+        range(1, 5001),
+        [2**31 + d for d in range(-40, 41)] + [2**32 - 1, 3 * 2**30],  # rejections likely
+    ], ids=["1-5000", "near-2^31"])
+    def test_integers_follow_lemire_on_uint32_words(self, ranges, half_word):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            if half_word:  # start with PCG64's buffered 32-bit half pending
+                rng.integers(0, 1 << 32, dtype=np.uint32)
+            assert rng.bit_generator.state["has_uint32"] == half_word
+            scalar, replayed = _scalar_and_replayed(rng, list(ranges), 2 * len(ranges))
+            assert replayed == scalar
+
+    def test_integers_of_one_reads_no_state(self):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        assert rng.integers(1) == 0
+        assert rng.bit_generator.state == before
+
+    def test_buffer_refills_when_used_up(self):
+        ranges = [7, 1, 3**19, 2, 2**31 + 1] * 40
+        for expected in (1, 2, 50):
+            scalar, replayed = _scalar_and_replayed(np.random.default_rng(9), ranges, expected)
+            assert replayed == scalar
+
+    def test_state_settles_when_the_block_raises(self):
+        rng, scalar_rng = np.random.default_rng(6), np.random.default_rng(6)
+        with pytest.raises(KeyError):
+            with _BoundedDraws(rng, 100) as draws:
+                for r in (5, 2**31 + 3):
+                    draws.below(r)
+                raise KeyError
+        for r in (5, 2**31 + 3):
+            scalar_rng.integers(r)
+        assert rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 class TestFirstFrontSelection:
@@ -393,11 +456,12 @@ class TestFirstFrontSelection:
         assert np.array_equal(out.x, expected.x) and np.array_equal(out.f, expected.f)
         assert np.array_equal(state.ideal, state2.ideal)
         assert np.array_equal(state.intercepts, state2.intercepts)
-        assert niche_rng.random() == rng2.random()
+        assert niche_rng.bit_generator.state == rng2.bit_generator.state
 
 
 def _fill_oracle(pop, selected, critical, n, refs, state, rng):
-    """_fill with separate selected and critical index arrays, as first written."""
+    """_fill with separate selected and critical index arrays, as first written,
+    niching with the scalar-draw oracle."""
     if critical is None:
         normalize(pop.f[selected], state)
         return pop.take(selected)
@@ -405,7 +469,7 @@ def _fill_oracle(pop, selected, critical, n, refs, state, rng):
     assoc, dist = associate(normalized, refs)
     k = selected.size
     rho = np.bincount(assoc[:k], minlength=len(refs))
-    picks = _niche_select(rho, assoc[k:], dist[k:], n - k, rng)
+    picks = niche_select_oracle(rho, assoc[k:], dist[k:], n - k, rng)
     chosen = critical[np.sort(np.asarray(picks, dtype=int))]
     return pop.take(np.concatenate([selected, chosen]))
 
@@ -469,7 +533,7 @@ class TestSelectionMatchesOracle:
                 assert np.array_equal(got.x, expected.x) and np.array_equal(got.f, expected.f)
                 assert np.array_equal(state.ideal, state2.ideal)
                 assert np.array_equal(state.intercepts, state2.intercepts)
-            assert niche_rng.random() == rng2.random()
+            assert niche_rng.bit_generator.state == rng2.bit_generator.state
 
 
 class TestNsga3Base:

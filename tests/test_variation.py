@@ -152,6 +152,47 @@ class TestPolynomialMutation:
         assert (out >= lower).all() and (out <= upper).all()
 
 
+def mutate_batch_oracle(x, params, lower, upper, rng):
+    """mutate_batch as first written: both power branches at every variable."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    span = upper - lower
+    pm = params.mutation_prob(x.shape[1])
+    site = rng.random(x.shape) < pm
+    u = rng.random(x.shape)
+    d1 = (x - lower) / span
+    d2 = (upper - x) / span
+    exp = 1.0 / (params.eta_m + 1.0)
+    low_side = (2.0 * u + (1.0 - 2.0 * u) * (1.0 - d1) ** (params.eta_m + 1.0)) ** exp - 1.0
+    high_side = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (params.eta_m + 1.0)) ** exp
+    delta = np.where(u <= 0.5, low_side, high_side)
+    out = np.where(site, x + delta * span, x)
+    np.clip(out, lower, upper, out=out)
+    return out
+
+
+class TestMutationMatchesOracle:
+    zdt4_lower = np.array([0.0] + [-5.0] * 9)
+    zdt4_upper = np.array([1.0] + [5.0] * 9)
+
+    @pytest.mark.parametrize("rows, n_var, params, bounds", [
+        (100, 30, VariationParams(), None),
+        (100, 30, VariationParams(pm=0.0), None),  # no sites
+        (40, 12, VariationParams(pm=1.0, eta_m=5.0), None),  # every site
+        (1, 7, VariationParams(), None),
+        (60, 10, VariationParams(), (zdt4_lower, zdt4_upper)),
+        (60, 10, VariationParams(pm=1.0), (zdt4_lower, zdt4_upper)),
+    ], ids=["default", "pm0", "pm1", "one-row", "zdt4", "zdt4-pm1"])
+    def test_byte_equal_over_seeds(self, rows, n_var, params, bounds):
+        lower, upper = bounds if bounds else (np.zeros(n_var), np.ones(n_var))
+        for seed in range(200):
+            x = lower + np.random.default_rng(10_000 + seed).random((rows, n_var)) * (upper - lower)
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = mutate_batch(x, params, lower, upper, rng)
+            expected = mutate_batch_oracle(x, params, lower, upper, oracle_rng)
+            assert got.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 class TestGenerateOffspring:
     def test_exact_count_and_budget(self):
         problem = box_problem()
