@@ -8,8 +8,8 @@ statistics, and an experiment harness.
 __version__ = "0.1.0"
 
 from .core import (ConfigurationError, EvaluationError, Population, ProblemSpec,
-                   RngKey, RunBudget, TemofError, UnsupportedError, UsageError,
-                   concat, initialize_population, merge_dedupe, rng_stream)
+                   RngKey, TemofError, UnsupportedError, UsageError, concat,
+                   initialize_population, merge_dedupe, rng_stream)
 from .dominance import pareto_mask, sort_fronts
 from .variation import VariationParams, generate_offspring, mating_pool
 from .nsga3 import (NormalizationState, Nsga3Base, ReferencePointSet, associate,
@@ -30,7 +30,7 @@ __all__ = [
     "__version__",
     # core
     "TemofError", "ConfigurationError", "UsageError", "EvaluationError",
-    "UnsupportedError", "ProblemSpec", "RunBudget", "RngKey", "rng_stream",
+    "UnsupportedError", "ProblemSpec", "RngKey", "rng_stream",
     "Population", "concat", "merge_dedupe",
     "initialize_population",
     # dominance

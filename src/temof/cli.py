@@ -41,15 +41,16 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="benchmark name, repeatable")
     run.add_argument("--algo", action="append", default=None,
                      choices=list(ALGORITHM_NAMES), help="algorithm, repeatable")
-    run.add_argument("--seeds", type=int, default=None,
-                     help="number of runs per cell (seeds 0..k-1)")
-    run.add_argument("--seed-list", default=None,
-                     help="comma-separated explicit seeds (alternative to --seeds)")
-    run.add_argument("--master-seed", type=int, default=0)
+    seeds = run.add_mutually_exclusive_group()
+    seeds.add_argument("--seeds", type=int, default=None,
+                       help="number of runs per cell (seeds 0..k-1)")
+    seeds.add_argument("--seed-list", default=None,
+                       help="comma-separated explicit seeds")
+    run.add_argument("--master-seed", type=int, default=None, help="default: 0")
     run.add_argument("--n", type=int, default=None, help="population size")
     run.add_argument("--max-fes", type=int, default=None, help="evaluation budget")
-    run.add_argument("--p", type=float, default=0.5,
-                     help="archive mating probability of the framework")
+    run.add_argument("--p", type=float, default=None,
+                     help="archive mating probability of the framework (default: 0.5)")
     run.add_argument("--metrics", nargs="+", default=None,
                      choices=list(KNOWN_METRICS))
     run.add_argument("--indicator-target", default=None,
@@ -94,7 +95,23 @@ def _load_csv(path: str) -> np.ndarray:
         raise UsageError(f"{path} is not a numeric CSV: {exc}") from None
 
 
-def _config_from_flags(args) -> ExperimentConfig:
+# the flags that describe a matrix in place of a --config file
+_MATRIX_FLAGS = ("problem", "algo", "seeds", "seed_list", "master_seed", "n", "max_fes",
+                 "p", "metrics", "indicator_target")
+
+
+def _set(**values) -> dict:
+    """The entries whose flag was given; an unset flag keeps the config default."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
+def _run_config(args) -> ExperimentConfig:
+    if args.config is not None:
+        given = [f"--{dest.replace('_', '-')}" for dest in _MATRIX_FLAGS
+                 if getattr(args, dest) is not None]
+        if given:
+            raise UsageError(f"--config cannot be combined with {', '.join(given)}")
+        return load_config(args.config)
     seeds = None if args.seeds is None else list(range(args.seeds))
     if args.seed_list is not None:
         try:
@@ -109,12 +126,11 @@ def _config_from_flags(args) -> ExperimentConfig:
     if missing:
         raise UsageError(
             f"run needs either --config or the flags: {', '.join(missing)}")
-    raw = {"problems": args.problem, "seeds": seeds, "n": args.n, "max_fes": args.max_fes,
-           "algorithms": [{"name": name, "p": args.p} for name in args.algo],
-           "master_seed": args.master_seed, "metrics": args.metrics,
-           "indicator_target": args.indicator_target}
-    # a flag left unset keeps the config default
-    return config_from_dict({k: v for k, v in raw.items() if v is not None})
+    return config_from_dict(_set(
+        problems=args.problem, seeds=seeds, n=args.n, max_fes=args.max_fes,
+        algorithms=[_set(name=name, p=args.p) for name in args.algo],
+        master_seed=args.master_seed, metrics=args.metrics,
+        indicator_target=args.indicator_target))
 
 
 def _cmd_bench_list() -> int:
@@ -127,7 +143,7 @@ def _cmd_bench_list() -> int:
 
 
 def _cmd_run(args) -> int:
-    config = load_config(args.config) if args.config is not None else _config_from_flags(args)
+    config = _run_config(args)
     if args.out is not None:
         config = dataclasses.replace(config, output_dir=args.out)
 

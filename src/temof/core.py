@@ -143,36 +143,6 @@ class ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation budget
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RunBudget:
-    """Counts function evaluations against a cap.
-
-    The cap is advisory: charge() never raises, callers check within_budget.
-    The main loops test the budget before generating offspring, so the final
-    count may exceed max_fes by at most one batch.
-    """
-
-    max_fes: int
-    fes: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_fes < 1:
-            raise ConfigurationError(f"max_fes must be >= 1, got {self.max_fes}")
-
-    def charge(self, count: int) -> None:
-        if count < 0:
-            raise UsageError(f"cannot charge a negative evaluation count ({count})")
-        self.fes += count
-
-    @property
-    def within_budget(self) -> bool:
-        return self.fes <= self.max_fes
-
-
-# ---------------------------------------------------------------------------
 # Populations
 # ---------------------------------------------------------------------------
 
@@ -261,17 +231,10 @@ def merge_dedupe(a: Population, b: Population, *, n: int) -> Population:
     return both.take(keep + dropped[:max(n - len(keep), 0)])
 
 
-def evaluate(problem: ProblemSpec, x: np.ndarray, budget: RunBudget) -> Population:
-    """Evaluate decision vectors into a population, charging one FE per row."""
-    f = problem.evaluate_batch(x)
-    budget.charge(f.shape[0])
-    return Population(x, f)
-
-
 def initialize_population(problem: ProblemSpec, n: int,
-                          rng: np.random.Generator, budget: RunBudget) -> Population:
-    """Uniform random population within bounds, with objectives (charges n FEs)."""
+                          rng: np.random.Generator) -> Population:
+    """Uniform random population within bounds, with objectives (n evaluations)."""
     if n < 1:
         raise ConfigurationError(f"population size must be >= 1, got {n}")
     x = rng.uniform(problem.lower, problem.upper, size=(n, problem.n_var))
-    return evaluate(problem, x, budget)
+    return Population(x, problem.evaluate_batch(x))

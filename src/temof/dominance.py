@@ -60,7 +60,8 @@ def pareto_mask(f: np.ndarray) -> np.ndarray:
     """Boolean mask of non-dominated rows.
 
     Unlike sort_fronts this never builds the full pairwise matrix, so it is
-    usable on large point sets (front sampling, archive checks).
+    the low-memory check that the acceptance suite and the tests run on large
+    point sets; no optimizer or front sampler calls it.
     """
     ft = np.ascontiguousarray(np.atleast_2d(np.asarray(f, dtype=float)).T)
     n = ft.shape[1]

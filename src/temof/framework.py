@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (ConfigurationError, Population, ProblemSpec, RngKey, RunBudget,
-                   as_rng_key, concat, initialize_population, merge_dedupe)
+from .core import (ConfigurationError, Population, ProblemSpec, RngKey, as_rng_key,
+                   concat, initialize_population, merge_dedupe)
 from .nsga3 import Nsga3Base
 from .variation import VariationParams, generate_offspring
 
@@ -110,8 +110,8 @@ def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
     """
     key = as_rng_key(seed)
     factory = base_factory if base_factory is not None else Nsga3Base
-    budget = RunBudget(config.max_fes)
-    population = initialize_population(problem, config.n, key.stream("init"), budget)
+    population = initialize_population(problem, config.n, key.stream("init"))
+    fes = len(population)
     base = factory(problem, config.n, key.stream("selection"))
     variation = variation if variation is not None else VariationParams()
     gate_rng = key.stream("gate")
@@ -119,9 +119,9 @@ def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
     archive = population
     trace = RunTrace()
     generation = 0
-    while budget.within_budget:
+    while fes <= config.max_fes:
         generation += 1
-        fes_before = budget.fes
+        fes_before = fes
         u = float(gate_rng.random())
         if disable_archive:
             source = MatingSource.POPULATION
@@ -129,7 +129,8 @@ def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
             source = stage_gate(fes_before, config.max_fes, config.p, u,
                                 config.stage_fraction)
         parents = archive if source is MatingSource.ARCHIVE else population
-        offspring = generate_offspring(parents, config.n, variation, problem, budget, var_rng)
+        offspring = generate_offspring(parents, config.n, variation, problem, var_rng)
+        fes += len(offspring)
         selected = base.environmental_selection(concat(population, offspring), config.n)
         if disable_archive:
             population = selected
@@ -139,7 +140,7 @@ def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
             # back up to n with the earliest dropped copies
             population = base.environmental_selection(
                 merge_dedupe(selected, archive, n=config.n), config.n)
-        trace.append(GenerationRecord(generation, fes_before, source, budget.fes))
+        trace.append(GenerationRecord(generation, fes_before, source, fes))
         if observer is not None:
-            observer(generation, budget.fes, source, population, archive)
-    return TemofResult(population, archive, trace, budget.fes)
+            observer(generation, fes, source, population, archive)
+    return TemofResult(population, archive, trace, fes)

@@ -84,23 +84,22 @@ def reference_points_for(n: int, n_obj: int) -> ReferencePointSet:
 
 
 class NormalizationState:
-    """Running ideal point and the intercepts from the latest normalization."""
+    """Running ideal point, shared by the normalizations of one run."""
 
-    __slots__ = ("ideal", "intercepts")
+    __slots__ = ("ideal",)
 
     def __init__(self) -> None:
         self.ideal: np.ndarray | None = None
-        self.intercepts: np.ndarray | None = None
 
 
-def normalize(objs: np.ndarray, state: NormalizationState) -> tuple[np.ndarray, NormalizationState]:
+def normalize(objs: np.ndarray, state: NormalizationState) -> np.ndarray:
     """Translate by the running ideal point and scale by hyperplane intercepts.
 
     Extreme points per axis are picked by the achievement scalarizing
     function with weights 1e-6 everywhere except 1 on the axis.  If the
     intercept system is singular or yields a non-positive intercept, the
     scale falls back to (max - ideal) with a 1e-12 floor.  The running
-    ideal only ever decreases.
+    ideal only ever decreases; it is the only state kept between calls.
     """
     f = np.atleast_2d(np.asarray(objs, dtype=float))
     if f.shape[0] == 0:
@@ -132,8 +131,7 @@ def normalize(objs: np.ndarray, state: NormalizationState) -> tuple[np.ndarray, 
         intercepts = shifted.max(axis=0)
     intercepts = np.maximum(intercepts, INTERCEPT_FLOOR)
     state.ideal = ideal
-    state.intercepts = intercepts
-    return shifted / intercepts, state
+    return shifted / intercepts
 
 
 def associate(normalized: np.ndarray, refs: ReferencePointSet) -> tuple[np.ndarray, np.ndarray]:
@@ -288,7 +286,7 @@ def _fill(pop: Population, fronts: list[np.ndarray], n: int, refs: ReferencePoin
     associations of the fronts kept whole.
     """
     members = np.concatenate(fronts)
-    normalized, _ = normalize(pop.f[members], state)
+    normalized = normalize(pop.f[members], state)
     if members.size <= n:
         return pop.take(members)
     critical = fronts[-1]

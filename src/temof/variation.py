@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigurationError, Population, ProblemSpec, RunBudget,
-                   UsageError, evaluate)
+from .core import ConfigurationError, Population, ProblemSpec, UsageError
 
 
 @dataclass(frozen=True)
@@ -100,16 +99,15 @@ def mutate_batch(x: np.ndarray, params: VariationParams,
 
 
 def generate_offspring(source: Population, n: int, params: VariationParams,
-                       problem: ProblemSpec, budget: RunBudget,
-                       rng: np.random.Generator) -> Population:
+                       problem: ProblemSpec, rng: np.random.Generator) -> Population:
     """Produce and evaluate exactly n offspring from a mating source.
 
     Pipeline: random pairs -> SBX -> trim to n -> polynomial mutation ->
-    evaluation (charges n FEs).
+    evaluation (n FEs).
     """
     pairs = mating_pool(source, n, rng)
     c1, c2 = sbx_batch(source.x[pairs[:, 0]], source.x[pairs[:, 1]],
                        params, problem.lower, problem.upper, rng)
     children = np.vstack([c1, c2])[:n]
     children = mutate_batch(children, params, problem.lower, problem.upper, rng)
-    return evaluate(problem, children, budget)
+    return Population(children, problem.evaluate_batch(children))

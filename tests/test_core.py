@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from temof import (ConfigurationError, EvaluationError, Population, ProblemSpec,
-                   RngKey, RunBudget, UsageError, concat,
-                   initialize_population, merge_dedupe, rng_stream)
-from temof.core import evaluate
+                   RngKey, UsageError, concat, initialize_population, merge_dedupe,
+                   rng_stream)
 
 
 def sphere_problem(n_var=4, n_obj=2):
@@ -79,25 +78,6 @@ class TestProblemSpec:
         from temof import UnsupportedError
         with pytest.raises(UnsupportedError):
             sphere_problem().true_front(10)
-
-
-class TestRunBudget:
-    def test_charging(self):
-        b = RunBudget(100)
-        b.charge(60)
-        assert b.fes == 60 and b.within_budget
-        b.charge(40)
-        assert b.fes == 100 and b.within_budget
-        b.charge(1)
-        assert not b.within_budget
-
-    def test_negative_charge(self):
-        with pytest.raises(UsageError):
-            RunBudget(10).charge(-1)
-
-    def test_bad_cap(self):
-        with pytest.raises(ConfigurationError):
-            RunBudget(0)
 
 
 class TestPopulation:
@@ -198,40 +178,19 @@ class TestConcatAndMerge:
 class TestInitializeAndEvaluate:
     def test_deterministic_initialization(self):
         p = sphere_problem()
-        a = initialize_population(p, 10, rng_stream(3, 0, "init"), RunBudget(100))
-        b = initialize_population(p, 10, rng_stream(3, 0, "init"), RunBudget(100))
+        a = initialize_population(p, 10, rng_stream(3, 0, "init"))
+        b = initialize_population(p, 10, rng_stream(3, 0, "init"))
         assert np.array_equal(a.x, b.x) and np.array_equal(a.f, b.f)
+        assert np.array_equal(a.f, p.evaluate_batch(a.x))
 
     def test_bounds_respected(self):
         n_var = 5
         p = ProblemSpec("box", n_var, 2,
                         np.full(n_var, -2.0), np.full(n_var, 3.0),
                         lambda x: np.zeros((x.shape[0], 2)) + 1.0)
-        pop = initialize_population(p, 50, rng_stream(0, 0, "init"), RunBudget(100))
+        pop = initialize_population(p, 50, rng_stream(0, 0, "init"))
         assert (pop.x >= -2.0).all() and (pop.x <= 3.0).all()
-
-    def test_budget_charged(self):
-        budget = RunBudget(100)
-        initialize_population(sphere_problem(), 10, rng_stream(0, 0, "init"), budget)
-        assert budget.fes == 10
 
     def test_bad_size(self):
         with pytest.raises(ConfigurationError):
-            initialize_population(sphere_problem(), 0, rng_stream(0, 0, "init"),
-                                  RunBudget(10))
-
-    def test_evaluate_charges_one_fe_per_row(self):
-        p = sphere_problem()
-        x = rng_stream(5, 0, "init").random((6, 4))
-        budget = RunBudget(100)
-        budget.charge(3)
-        out = evaluate(p, x, budget)
-        assert budget.fes == 3 + 6
-        assert np.array_equal(out.x, x)
-        assert np.array_equal(out.f, p.evaluate_batch(x))
-
-    def test_evaluate_rejects_wrong_width(self):
-        budget = RunBudget(100)
-        with pytest.raises(UsageError):
-            evaluate(sphere_problem(), np.zeros((2, 3)), budget)
-        assert budget.fes == 0
+            initialize_population(sphere_problem(), 0, rng_stream(0, 0, "init"))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,19 @@ class TestRunLoopAccounting:
         for max_fes in (130, 200, 373):
             res = temof_run(tiny_problem(), FrameworkConfig(n=25, max_fes=max_fes), 0)
             assert max_fes < res.fes <= max_fes + 25
+
+    def test_fes_equal_rows_evaluated(self):
+        dtlz2 = tiny_problem()
+        rows, observed = [], []
+
+        def counting(x):
+            rows.append(len(x))
+            return dtlz2.evaluator(x)
+
+        problem = dataclasses.replace(dtlz2, evaluator=counting)
+        res = temof_run(problem, FrameworkConfig(n=30, max_fes=373), 0,
+                        observer=lambda gen, fes, src, pop, arch: observed.append(fes))
+        assert res.fes == res.trace[-1].fes_after == observed[-1] == sum(rows)
 
     def test_population_sizes(self):
         res = temof_run(tiny_problem(), FrameworkConfig(n=30, max_fes=300), 2)

@@ -606,6 +606,45 @@ class TestCli:
         assert json.loads((out / "metadata.json").read_text())["config"]["seeds"] == [0]
         assert not (tmp_path / "from_config").exists()
 
+    def test_run_flags_keep_the_fingerprint(self, tmp_path, capsys):
+        # unset --p and --master-seed leave the config defaults 0.5 and 0
+        out = tmp_path / "exp"
+        assert cli_main(["run", "--problem", "ZDT1", "--algo", "nsga3",
+                         "--algo", "temof-nsga3", "--seeds", "1", "--n", "10",
+                         "--max-fes", "50", "--metrics", "IGD",
+                         "--out", str(out), "--quiet"]) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["fingerprint"] == \
+            "e4a99b841dbd4b297a505aac8293ed45d19485286b279b5a3cdc368a0f11b6e7"
+        assert meta["config"]["master_seed"] == 0
+        assert [a["p"] for a in meta["config"]["algorithms"]] == [0.5, 0.5]
+
+    def test_run_seeds_with_seed_list_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--problem", "ZDT1", "--algo", "nsga3", "--seeds", "3",
+                      "--seed-list", "7", "--n", "10", "--max-fes", "50",
+                      "--out", str(tmp_path / "o"), "--quiet"])
+        assert exc.value.code == 2
+        assert "--seed-list: not allowed with argument --seeds" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--problem", "DTLZ2", "--seeds", "5", "--n", "50"], ["--algo", "temof-nsga3"],
+        ["--seed-list", "7"], ["--master-seed", "0"], ["--max-fes", "500"], ["--p", "0.5"],
+        ["--metrics", "GD"], ["--indicator-target", "archive"]],
+        ids=lambda flags: "+".join(f[2:] for f in flags if f.startswith("--")))
+    def test_run_config_with_matrix_flags_rejected(self, tmp_path, capsys, flags):
+        named = ", ".join(f for f in flags if f.startswith("--"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problems": ["ZDT1"], "algorithms": ["nsga3"],
+                                    "seeds": [0], "n": 10, "max_fes": 50,
+                                    "metrics": ["IGD"], "igd_reference_size": 200}))
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(path), *flags,
+                         "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"error: --config cannot be combined with {named}\n"
+        assert not out.exists()
+
     def test_run_flag_validation(self, capsys):
         assert cli_main(["run", "--problem", "ZDT1"]) == 2
         assert "needs either --config" in capsys.readouterr().err

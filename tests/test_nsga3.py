@@ -88,7 +88,7 @@ def normalize_oracle(objs, state):
     if intercepts is None:
         intercepts = shifted.max(axis=0)
     intercepts = np.maximum(intercepts, 1e-12)
-    state.ideal, state.intercepts = ideal, intercepts
+    state.ideal = ideal
     return shifted / intercepts
 
 
@@ -102,17 +102,16 @@ class TestNormalize:
                     f = rng.random((int(rng.integers(1, 40)), m)) * 10.0 ** rng.integers(-3, 4)
                     if decimals is not None:  # ties between scalarized values
                         f = np.round(f, decimals)
-                    got, _ = normalize(f, state)
+                    got = normalize(f, state)
                     assert np.array_equal(got, normalize_oracle(f, oracle_state))
                     assert np.array_equal(state.ideal, oracle_state.ideal)
-                    assert np.array_equal(state.intercepts, oracle_state.intercepts)
 
     def test_hand_case_intercepts(self):
         state = NormalizationState()
-        normalized, state = normalize(np.array([[1.0, 2.0], [3.0, 0.0]]), state)
-        assert np.allclose(state.ideal, [1.0, 0.0])
-        assert np.allclose(state.intercepts, [2.0, 2.0])
-        assert np.allclose(normalized, [[0.0, 1.0], [1.0, 0.0]])
+        normalized = normalize(np.array([[1.0, 2.0], [3.0, 0.0]]), state)
+        assert np.array_equal(state.ideal, [1.0, 0.0])
+        # the extremes (0, 2) and (2, 0) span the plane with intercepts (2, 2)
+        assert np.array_equal(normalized, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_ideal_only_decreases(self):
         state = NormalizationState()
@@ -125,16 +124,16 @@ class TestNormalize:
     def test_rank_deficient_falls_back_to_range(self):
         state = NormalizationState()
         objs = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-        normalized, state = normalize(objs, state)
+        normalized = normalize(objs, state)
         # extremes coincide, so the scale is max - ideal = (2, 2)
-        assert np.allclose(state.intercepts, [2.0, 2.0])
-        assert np.allclose(normalized[-1], [1.0, 1.0])
+        assert np.array_equal(normalized, [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
 
     def test_degenerate_set_floors_the_scale(self):
-        state = NormalizationState()
-        normalized, state = normalize(np.array([[2.0, 2.0], [2.0, 2.0]]), state)
-        assert np.all(state.intercepts == 1e-12)
+        normalized = normalize(np.array([[2.0, 2.0], [2.0, 2.0]]), NormalizationState())
         assert np.all(normalized == 0.0)
+        # a range of 1e-13 on one axis and 0 on the other: both scales floor at 1e-12
+        normalized = normalize(np.array([[0.0, 0.0], [1e-13, 0.0]]), NormalizationState())
+        assert np.allclose(normalized, [[0.0, 0.0], [0.1, 0.0]], rtol=1e-12, atol=0)
 
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
@@ -455,7 +454,6 @@ class TestFirstFrontSelection:
         assert len(out) == min(n, 20)
         assert np.array_equal(out.x, expected.x) and np.array_equal(out.f, expected.f)
         assert np.array_equal(state.ideal, state2.ideal)
-        assert np.array_equal(state.intercepts, state2.intercepts)
         assert niche_rng.bit_generator.state == rng2.bit_generator.state
 
 
@@ -465,7 +463,7 @@ def _fill_oracle(pop, selected, critical, n, refs, state, rng):
     if critical is None:
         normalize(pop.f[selected], state)
         return pop.take(selected)
-    normalized, _ = normalize(pop.f[np.concatenate([selected, critical])], state)
+    normalized = normalize(pop.f[np.concatenate([selected, critical])], state)
     assoc, dist = associate(normalized, refs)
     k = selected.size
     rho = np.bincount(assoc[:k], minlength=len(refs))
@@ -532,7 +530,6 @@ class TestSelectionMatchesOracle:
                 expected = oracle(pop, n, refs, state2, rng2)
                 assert np.array_equal(got.x, expected.x) and np.array_equal(got.f, expected.f)
                 assert np.array_equal(state.ideal, state2.ideal)
-                assert np.array_equal(state.intercepts, state2.intercepts)
             assert niche_rng.bit_generator.state == rng2.bit_generator.state
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from temof import (ConfigurationError, Population, ProblemSpec, RunBudget,
-                   UsageError, VariationParams, generate_offspring, mating_pool)
+from temof import (ConfigurationError, Population, ProblemSpec, UsageError,
+                   VariationParams, generate_offspring, mating_pool)
 from temof.variation import mutate_batch, sbx_batch
 
 
@@ -195,24 +195,29 @@ class TestMutationMatchesOracle:
 
 class TestGenerateOffspring:
     def test_exact_count_and_budget(self):
-        problem = box_problem()
-        pop = Population(np.full((10, 6), 0.5),
-                         problem.evaluate_batch(np.full((10, 6), 0.5)))
-        budget = RunBudget(1000)
+        evaluated = []
+        box = box_problem()
+
+        def counting(x):
+            evaluated.append(len(x))
+            return box.evaluator(x)
+
+        problem = ProblemSpec("box", 6, 2, box.lower, box.upper, counting)
+        pop = Population(np.full((10, 6), 0.5), box.evaluate_batch(np.full((10, 6), 0.5)))
         for n in (9, 10):
-            off = generate_offspring(pop, n, VariationParams(), problem, budget,
+            off = generate_offspring(pop, n, VariationParams(), problem,
                                      np.random.default_rng(1))
             assert len(off) == n
-            assert np.array_equal(off.f, problem.evaluate_batch(off.x))
+            assert np.array_equal(off.f, box.evaluate_batch(off.x))
             assert (off.x >= 0).all() and (off.x <= 1).all()
-        assert budget.fes == 19
+        assert evaluated == [9, 10]  # one evaluation per offspring
 
     def test_single_parent_source_works(self):
         problem = box_problem()
         pop = Population(np.full((1, 6), 0.5),
                          problem.evaluate_batch(np.full((1, 6), 0.5)))
         off = generate_offspring(pop, 4, VariationParams(), problem,
-                                 RunBudget(100), np.random.default_rng(0))
+                                 np.random.default_rng(0))
         assert len(off) == 4
 
     def test_determinism(self):
@@ -220,7 +225,7 @@ class TestGenerateOffspring:
         x = np.random.default_rng(8).random((12, 6))
         pop = Population(x, problem.evaluate_batch(x))
         a = generate_offspring(pop, 12, VariationParams(), problem,
-                               RunBudget(100), np.random.default_rng(13))
+                               np.random.default_rng(13))
         b = generate_offspring(pop, 12, VariationParams(), problem,
-                               RunBudget(100), np.random.default_rng(13))
+                               np.random.default_rng(13))
         assert np.array_equal(a.x, b.x) and np.array_equal(a.f, b.f)
