@@ -229,36 +229,30 @@ def _front_points(family: str, m: int, count: int) -> np.ndarray:
 # registry
 # ---------------------------------------------------------------------------
 
-_DTLZ_EVALS = {
-    "DTLZ1": _dtlz1, "DTLZ2": _dtlz2, "DTLZ3": _dtlz3, "DTLZ4": _dtlz4,
-    "DTLZ5": _dtlz5, "DTLZ6": _dtlz6, "DTLZ7": _dtlz7,
-}
-_DTLZ_EXTRA_VARS = {  # default n_var = n_obj - 1 + k with the usual tail size k
-    "DTLZ1": 5, "DTLZ2": 10, "DTLZ3": 10, "DTLZ4": 10,
-    "DTLZ5": 10, "DTLZ6": 10, "DTLZ7": 20,
-}
-_ZDT_EVALS = {
-    "ZDT1": _zdt1, "ZDT2": _zdt2, "ZDT3": _zdt3, "ZDT4": _zdt4, "ZDT6": _zdt6,
-}
-_ZDT_DEFAULT_VARS = {"ZDT1": 30, "ZDT2": 30, "ZDT3": 30, "ZDT4": 10, "ZDT6": 10}
+# name -> (evaluator, k): the default n_var is n_obj - 1 + k, with the usual tail size k
+_DTLZ = {"DTLZ1": (_dtlz1, 5), "DTLZ2": (_dtlz2, 10), "DTLZ3": (_dtlz3, 10),
+         "DTLZ4": (_dtlz4, 10), "DTLZ5": (_dtlz5, 10), "DTLZ6": (_dtlz6, 10),
+         "DTLZ7": (_dtlz7, 20)}
+_ZDT = {"ZDT1": (_zdt1, 30), "ZDT2": (_zdt2, 30), "ZDT3": (_zdt3, 30),  # (evaluator, n_var)
+        "ZDT4": (_zdt4, 10), "ZDT6": (_zdt6, 10)}
 
 
 def problem_names() -> list[str]:
-    return sorted(_DTLZ_EVALS) + sorted(_ZDT_EVALS)
+    return sorted(_DTLZ) + sorted(_ZDT)
 
 
 def make_problem(name: str, n_var: int | None = None, n_obj: int | None = None) -> ProblemSpec:
     """Instantiate a benchmark by name with optional dimension overrides."""
     key = str(name).upper()  # a non-string name is reported as unknown below
-    if key in _DTLZ_EVALS:
+    if key in _DTLZ:
+        evaluator, k = _DTLZ[key]
         m = 3 if n_obj is None else int(n_obj)
         if m < 2:
             raise ConfigurationError(f"{key}: n_obj must be >= 2, got {m}")
-        d = (m - 1 + _DTLZ_EXTRA_VARS[key]) if n_var is None else int(n_var)
+        d = (m - 1 + k) if n_var is None else int(n_var)
         if d < m:
             raise ConfigurationError(
                 f"{key}: n_var must be at least n_obj (got n_var={d}, n_obj={m})")
-        evaluator = _DTLZ_EVALS[key]
         # the DTLZ5/6 (degenerate) and DTLZ7 (disconnected) front samplers stop
         # at 3 objectives; without a sampler true_front raises UnsupportedError
         sampled = m <= 3 or key not in ("DTLZ5", "DTLZ6", "DTLZ7")
@@ -268,10 +262,11 @@ def make_problem(name: str, n_var: int | None = None, n_obj: int | None = None) 
             evaluator=lambda x, _e=evaluator, _m=m: _e(x, _m),
             front_sampler=(lambda count, _k=key, _m=m: _front_points(_k, _m, count))
             if sampled else None)
-    if key in _ZDT_EVALS:
+    if key in _ZDT:
+        evaluator, default_vars = _ZDT[key]
         if n_obj is not None and int(n_obj) != 2:
             raise ConfigurationError(f"{key}: n_obj is fixed at 2, got {n_obj}")
-        d = _ZDT_DEFAULT_VARS[key] if n_var is None else int(n_var)
+        d = default_vars if n_var is None else int(n_var)
         if d < 2:
             raise ConfigurationError(f"{key}: n_var must be >= 2, got {d}")
         lower = np.zeros(d)
@@ -281,7 +276,7 @@ def make_problem(name: str, n_var: int | None = None, n_obj: int | None = None) 
             upper[1:] = 5.0
         return ProblemSpec(
             name=key, n_var=d, n_obj=2, lower=lower, upper=upper,
-            evaluator=_ZDT_EVALS[key],
+            evaluator=evaluator,
             front_sampler=lambda count, _k=key: _front_points(_k, 2, count))
     raise ConfigurationError(f"unknown problem {name!r}; known: {', '.join(problem_names())}")
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -90,9 +91,14 @@ def _load_csv(path: str) -> np.ndarray:
     if not p.exists():
         raise UsageError(f"file not found: {path}")
     try:
-        return np.loadtxt(p, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "no data": rejected below
+            rows = np.loadtxt(p, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise UsageError(f"{path} is not a numeric CSV: {exc}") from None
+    if rows.shape[0] == 0:
+        raise UsageError(f"{path} holds no rows")
+    return rows
 
 
 # the flags that describe a matrix in place of a --config file

@@ -70,12 +70,6 @@ class RngKey:
         return rng_stream(self.master_seed, self.run_key, purpose)
 
 
-def as_rng_key(seed: "RngKey | int") -> RngKey:
-    if isinstance(seed, RngKey):
-        return seed
-    return RngKey(int(seed))
-
-
 # ---------------------------------------------------------------------------
 # Problems
 # ---------------------------------------------------------------------------
@@ -146,12 +140,6 @@ class ProblemSpec:
 # Populations
 # ---------------------------------------------------------------------------
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float, copy=True)
-    a.flags.writeable = False
-    return a
-
-
 class Population:
     """Fixed-size collection of decision vectors with their objective values.
 
@@ -161,15 +149,16 @@ class Population:
     __slots__ = ("x", "f")
 
     def __init__(self, x: np.ndarray, f: np.ndarray):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = np.array(x, dtype=float, ndmin=2)
         if x.ndim != 2:
             raise UsageError(f"decision matrix must be 2-D, got shape {x.shape}")
-        f = np.atleast_2d(np.asarray(f, dtype=float))
+        f = np.array(f, dtype=float, ndmin=2)
         if f.shape[0] != x.shape[0]:
             raise UsageError(
                 f"objective matrix has {f.shape[0]} rows for {x.shape[0]} individuals")
-        self.x = _readonly(x)
-        self.f = _readonly(f)
+        x.flags.writeable = False
+        f.flags.writeable = False
+        self.x, self.f = x, f
 
     @property
     def n_var(self) -> int:

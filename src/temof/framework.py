@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (ConfigurationError, Population, ProblemSpec, RngKey, as_rng_key,
-                   concat, initialize_population, merge_dedupe)
+from .core import (ConfigurationError, Population, ProblemSpec, RngKey, concat,
+                   initialize_population, merge_dedupe)
 from .nsga3 import Nsga3Base
 from .variation import VariationParams, generate_offspring
 
@@ -53,7 +53,7 @@ class FrameworkConfig:
 
 
 def stage_gate(fes: int, max_fes: int, p: float, u: float,
-               stage_fraction: float = 0.5) -> MatingSource:
+               stage_fraction: float = FrameworkConfig.stage_fraction) -> MatingSource:
     """Decide the mating source for one generation.
 
     The archive is used only when fes >= stage_fraction * max_fes and the
@@ -108,7 +108,7 @@ def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
     algorithm; the gate stream is still advanced every generation so seeds
     stay comparable.
     """
-    key = as_rng_key(seed)
+    key = seed if isinstance(seed, RngKey) else RngKey(int(seed))
     factory = base_factory if base_factory is not None else Nsga3Base
     population = initialize_population(problem, config.n, key.stream("init"))
     fes = len(population)

@@ -25,13 +25,13 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .core import ConfigurationError, RngKey, UsageError, rng_stream
+from .core import ConfigurationError, RngKey, UsageError
 from .benchmarks import make_problem
 from .framework import FrameworkConfig, temof_run
 from .metrics import MC_DEFAULT_SAMPLES, gd, hv, igd
 from .nsga3 import nsga3_run
-from .stats import (HIGHER_IS_BETTER, LOWER_IS_BETTER, FriedmanResult,
-                    SignedRankResult, friedman_ranks, ranksum_mark, signed_rank)
+from .stats import (HIGHER_IS_BETTER, LOWER_IS_BETTER, FriedmanResult, SignedRankResult,
+                    _check_alpha, friedman_ranks, ranksum_mark, signed_rank)
 from .variation import VariationParams
 
 RUNS_FILE = "runs.csv"
@@ -39,9 +39,9 @@ METADATA_FILE = "metadata.json"
 FAILURES_FILE = "failures.csv"
 RANKS_FILE = "ranks.csv"
 RUN_COLUMNS = ("problem", "algorithm", "seed", "metric", "value", "fes", "wall_ms")
-KNOWN_METRICS = ("IGD", "GD", "HV")
 INDICATOR_ORIENTATION = {"IGD": LOWER_IS_BETTER, "GD": LOWER_IS_BETTER,
                          "HV": HIGHER_IS_BETTER}
+KNOWN_METRICS = tuple(INDICATOR_ORIENTATION)
 ALGORITHM_NAMES = ("nsga3", "temof-nsga3")
 
 
@@ -65,6 +65,7 @@ class ProblemSelection:
                 f"{problem.name} with n_obj={problem.n_obj} has no true-front sampler, "
                 f"so its runs cannot be scored")
         object.__setattr__(self, "name", problem.name)
+        object.__setattr__(self, "_n_obj", problem.n_obj)  # not a field, so not fingerprinted
 
     @property
     def key(self) -> str:
@@ -85,12 +86,12 @@ class AlgorithmSpec:
 
     name: str
     label: str | None = None
-    p: float = 0.5
-    stage_fraction: float = 0.5
-    pc: float = 1.0
-    eta_c: float = 20.0
-    pm: float | None = None
-    eta_m: float = 20.0
+    p: float = FrameworkConfig.p
+    stage_fraction: float = FrameworkConfig.stage_fraction
+    pc: float = VariationParams.pc
+    eta_c: float = VariationParams.eta_c
+    pm: float | None = VariationParams.pm
+    eta_m: float = VariationParams.eta_m
 
     def __post_init__(self) -> None:
         if self.name not in ALGORITHM_NAMES:
@@ -143,13 +144,10 @@ class ExperimentConfig:
         labels = [a.key for a in self.algorithms]
         if len(set(labels)) != len(labels):
             raise ConfigurationError(f"algorithm labels are not unique: {labels}")
-        if self.n < 2:
-            raise ConfigurationError(f"population size must be >= 2, got {self.n}")
-        for problem in self.problems:  # the reference directions need n >= n_obj
-            n_obj = make_problem(problem.name, problem.n_var, problem.n_obj).n_obj
-            if self.n < n_obj:
+        for problem in self.problems:  # the reference directions need n >= n_obj >= 2
+            if self.n < problem._n_obj:
                 raise ConfigurationError(
-                    f"population size {self.n} is below n_obj={n_obj} of problem "
+                    f"population size {self.n} is below n_obj={problem._n_obj} of problem "
                     f"{problem.key}")
         if self.max_fes < self.n:
             raise ConfigurationError(
@@ -265,15 +263,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(**_convert(ExperimentConfig, raw, "config key"))
 
 
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
+        raise ConfigurationError(f"{what} {path} is not valid JSON: {exc}") from None
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from None
-    return config_from_dict(raw)
+    return config_from_dict(_read_json(path, "config file"))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +346,7 @@ def _execute_run(task: RunTask) -> RunRecord:
             values[metric] = gd(target, front).value
         else:
             values[metric] = hv(target, ref, samples=config.hv_mc_samples,
-                                rng=rng_stream(config.master_seed, task.seed,
-                                               "hv-mc")).value
+                                rng=key.stream("hv-mc")).value
     return RunRecord(task.problem.key, algo.key, task.seed, values, fes, wall_ms)
 
 
@@ -388,7 +388,10 @@ def run_matrix(config: ExperimentConfig, workers: int = 1,
     meta_path = out / METADATA_FILE
     fingerprint = config.fingerprint()
     if meta_path.exists():
-        meta = json.loads(meta_path.read_text())
+        meta = _read_json(meta_path, "metadata file")
+        if not isinstance(meta, dict):
+            raise ConfigurationError(
+                f"metadata file {meta_path} must hold a JSON object, got {type(meta).__name__}")
         if meta.get("fingerprint") != fingerprint:
             raise ConfigurationError(
                 f"{out} already holds results for a different configuration "
@@ -575,6 +578,7 @@ def summarize(records: list[RunRecord], base: str, metric: str,
     """Build the comparison table of `metric` with `base` as the reference."""
     if metric not in INDICATOR_ORIENTATION:
         raise UsageError(f"unknown metric {metric!r}; known: {', '.join(KNOWN_METRICS)}")
+    _check_alpha(alpha)  # also when the base column alone is left to compare
     orientation = INDICATOR_ORIENTATION[metric]
     problems, algorithms, values = _group_values(records, metric)
     if not problems:

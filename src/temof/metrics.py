@@ -107,8 +107,6 @@ def _sorted_levels(values: np.ndarray) -> np.ndarray:
 
 def _hv_exact(points: np.ndarray, ref: np.ndarray) -> float:
     """Dimension sweep on the last coordinate; recursion bottoms out at 2-D."""
-    if points.shape[0] == 0:
-        return 0.0
     if points.shape[1] == 1:
         return float(ref[0] - points[:, 0].min())
     if points.shape[1] == 2:

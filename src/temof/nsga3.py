@@ -61,7 +61,6 @@ def das_dennis(n_obj: int, divisions: int) -> ReferencePointSet:
     # positions of n_obj-1 separators among divisions + n_obj - 1 slots
     from itertools import combinations
     sep = np.array(list(combinations(range(1, divisions + n_obj), n_obj - 1)), dtype=int)
-    sep = sep.reshape(count, n_obj - 1)
     padded = np.column_stack([np.zeros(count, dtype=int), sep,
                               np.full(count, divisions + n_obj, dtype=int)])
     parts = np.diff(padded, axis=1) - 1

@@ -31,6 +31,11 @@ def _check_orientation(orientation: str) -> None:
             f"got {orientation!r}")
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:  # NaN fails too
+        raise UsageError(f"alpha must be in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class ComparisonMark:
     """Outcome of one rank-sum comparison: '+' a better, '-' a worse, '=' no call."""
@@ -149,8 +154,7 @@ def ranksum_mark(a, b, alpha: float = 0.05,
     '=' no significant difference.
     """
     _check_orientation(orientation)
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     p, r_a, method = ranksum_p(a, b)
     n1 = np.asarray(a).size
     n = n1 + np.asarray(b).size

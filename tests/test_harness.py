@@ -1,6 +1,8 @@
 import csv
 import json
+import pickle
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from temof import (AlgorithmSpec, ConfigurationError, ExperimentConfig,
                    ProblemSelection, RunRecord, UsageError, load_config,
                    load_records, run_matrix, summarize, write_ranks, write_summary)
 from temof.cli import main as cli_main
+from temof.benchmarks import make_problem
 from temof.core import ProblemSpec
 from temof.harness import config_from_dict, format_cell, format_sci
 
@@ -89,6 +92,30 @@ class TestConfigValidation:
                               "max_fes": 100})
         ExperimentConfig(problems=(ProblemSelection("DTLZ2", n_obj=5),),
                          algorithms=(AlgorithmSpec("nsga3"),), seeds=(0,), n=5, max_fes=100)
+        # n < 2 is caught by the same check, since every problem has n_obj >= 2
+        with pytest.raises(ConfigurationError, match="population size 1 is below n_obj=2"):
+            ExperimentConfig(problems=(ProblemSelection("ZDT1"),),
+                             algorithms=(AlgorithmSpec("nsga3"),), seeds=(0,), n=1, max_fes=100)
+
+    def test_each_problem_is_built_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return make_problem(*args)
+
+        monkeypatch.setattr(harness, "make_problem", counting)
+        ExperimentConfig(problems=(ProblemSelection("ZDT1"), ProblemSelection("DTLZ2", n_obj=4)),
+                         algorithms=(AlgorithmSpec("nsga3"),), seeds=(0,), n=10, max_fes=100)
+        assert calls == [("ZDT1", None, None), ("DTLZ2", None, 4)]
+
+    def test_resolved_objective_count_survives_pickling(self):
+        selection = pickle.loads(pickle.dumps(ProblemSelection("dtlz2")))
+        assert selection._n_obj == 3
+        assert selection.n_obj is None  # the stated field is unchanged
+        assert asdict(selection) == {"name": "DTLZ2", "n_var": None, "n_obj": None,
+                                     "label": None}
+        assert pickle.loads(pickle.dumps(ProblemSelection("DTLZ2", n_obj=5)))._n_obj == 5
 
     @pytest.mark.parametrize("samples", [0, -3])
     def test_hv_samples_must_be_positive(self, samples):
@@ -411,6 +438,17 @@ class TestRunMatrix:
         with pytest.raises(ConfigurationError, match=f"{runs} line 3: malformed run row"):
             load_records(tmp_path)
 
+    @pytest.mark.parametrize("content, problem", [(b"{", "is not valid JSON"),
+                                                  (b"\xff{", "is not valid JSON"),
+                                                  (b"[]", "must hold a JSON object, got list")])
+    def test_malformed_metadata_rejected(self, tmp_path, content, problem):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "metadata.json").write_bytes(content)
+        with pytest.raises(ConfigurationError,
+                           match=f"metadata file {out / 'metadata.json'} {problem}"):
+            run_matrix(tiny_config(out))
+
     def test_zero_workers_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError, match="worker count must be >= 1, got 0"):
             run_matrix(tiny_config(tmp_path / "out"), workers=0)
@@ -480,6 +518,12 @@ class TestSummarize:
     def test_unknown_metric(self):
         with pytest.raises(UsageError, match="metric"):
             summarize(synthetic_records(), "base", "SPREAD")
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, float("nan")])
+    def test_alpha_checked_with_the_base_alone(self, alpha):
+        base_only = [r for r in synthetic_records() if r.algorithm == "base"]
+        with pytest.raises(UsageError, match="alpha must be in"):
+            summarize(base_only, "base", "IGD", alpha)
 
     def test_incomplete_cells(self):
         records = synthetic_records()
@@ -557,6 +601,19 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {metric}: ")
         assert "NaN or infinity" in captured.err
+
+    @pytest.mark.parametrize("metric", ["igd", "gd", "hv"])
+    @pytest.mark.parametrize("content", ["", "\n\n", "# header only\n"],
+                             ids=["empty", "blank-lines", "comment-only"])
+    def test_metric_rejects_empty_csv(self, tmp_path, capsys, metric, content):
+        front = tmp_path / "front.csv"
+        ref = tmp_path / "ref.csv"
+        front.write_text(content)
+        np.savetxt(ref, [[1.0, 1.0]], delimiter=",")
+        assert cli_main(["metric", metric, "--front", str(front), "--ref", str(ref)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {front} holds no rows\n"
 
     def test_metric_missing_file(self, tmp_path, capsys):
         assert cli_main(["metric", "igd", "--front", str(tmp_path / "a.csv"),
@@ -689,6 +746,14 @@ class TestCli:
                                            "ZDT1,nsga3,x,IGD,0.5,100,1.0\n")
         assert cli_main(["report", "ranks", "--runs", str(tmp_path)]) == 2
         assert "line 2: malformed run row" in capsys.readouterr().err
+
+    def test_report_summarize_checks_alpha(self, tmp_path, capsys):
+        (tmp_path / "runs.csv").write_text(",".join(harness.RUN_COLUMNS) + "\n"
+                                           "ZDT1,nsga3,0,IGD,0.5,100,1.0\n")
+        assert cli_main(["report", "summarize", "--runs", str(tmp_path), "--base", "nsga3",
+                         "--metric", "IGD", "--alpha", "7"]) == 2
+        assert capsys.readouterr().err == "error: alpha must be in (0, 1), got 7.0\n"
+        assert not (tmp_path / "summary_IGD.csv").exists()
 
     def test_bad_config_path(self, capsys):
         assert cli_main(["run", "--config", "/nonexistent.json"]) == 2
