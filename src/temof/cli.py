@@ -58,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=["population", "archive"])
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--workers", type=int, default=1,
-                     help="parallel worker processes (default: 1)")
+                     help="parallel worker processes, at most one per cell left to run "
+                          "(default: 1)")
     run.add_argument("--quiet", action="store_true", help="suppress per-run lines")
 
     report = sub.add_parser("report", help="summaries from saved runs")
@@ -87,13 +88,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_csv(path: str) -> np.ndarray:
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"file not found: {path}")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "no data": rejected below
-            rows = np.loadtxt(p, delimiter=",", ndmin=2)
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    except FileNotFoundError:
+        raise UsageError(f"file not found: {path}") from None
+    except OSError as exc:  # a directory, or no permission
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise UsageError(f"{path} is not a numeric CSV: {exc}") from None
     if rows.shape[0] == 0:

@@ -17,8 +17,10 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -266,15 +268,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def _read_json(path: Path, what: str):
     try:
         return json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ConfigurationError(f"{what} not found: {path}") from None
+    except OSError as exc:  # a directory, or no permission
+        raise ConfigurationError(f"cannot read {what} {path}: {exc.strerror}") from None
     except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
         raise ConfigurationError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"config file not found: {path}")
-    return config_from_dict(_read_json(path, "config file"))
+    return config_from_dict(_read_json(Path(path), "config file"))
 
 
 # ---------------------------------------------------------------------------
@@ -293,24 +296,14 @@ class RunRecord:
     wall_ms: float
 
 
-@dataclass(frozen=True)
-class RunTask:
-    """One (problem, algorithm, seed) cell of an experiment matrix."""
+def _execute_run(config: ExperimentConfig, selection: ProblemSelection,
+                 algo: AlgorithmSpec, seed: int) -> RunRecord:
+    """Run one (problem, algorithm, seed) cell and score it.
 
-    config: ExperimentConfig
-    problem: ProblemSelection
-    algorithm: AlgorithmSpec
-    seed: int
-
-
-def _execute_run(task: RunTask) -> RunRecord:
-    """Run one cell and score it.
-
-    Kept top-level, with a picklable task, so worker processes can execute it.
+    Kept top-level, with picklable arguments, so worker processes can execute it.
     """
-    config, algo = task.config, task.algorithm
-    problem = make_problem(task.problem.name, task.problem.n_var, task.problem.n_obj)
-    key = RngKey(config.master_seed, task.seed)
+    problem = make_problem(selection.name, selection.n_var, selection.n_obj)
+    key = RngKey(config.master_seed, seed)
     # sampled first, so an unscorable cell fails before it optimizes; freeing
     # the sampler's large temporaries first also raises glibc's mmap threshold,
     # so a fresh worker's run reuses heap memory instead of faulting in pages
@@ -323,7 +316,7 @@ def _execute_run(task: RunTask) -> RunRecord:
     if "HV" in config.metrics and not np.isfinite(box):
         raise ConfigurationError(
             f"hv_ref_scale {config.hv_ref_scale:g} overflows the HV reference box of "
-            f"{task.problem.key}")
+            f"{selection.key}")
     start = time.perf_counter()
     if algo.name == "nsga3":
         population, fes = nsga3_run(problem, config.n, config.max_fes, key,
@@ -347,15 +340,19 @@ def _execute_run(task: RunTask) -> RunRecord:
         else:
             values[metric] = hv(target, ref, samples=config.hv_mc_samples,
                                 rng=key.stream("hv-mc")).value
-    return RunRecord(task.problem.key, algo.key, task.seed, values, fes, wall_ms)
+    return RunRecord(selection.key, algo.key, seed, values, fes, wall_ms)
 
 
 def _read_runs(path: Path) -> dict[tuple[str, str, int], RunRecord]:
-    """Existing runs keyed by (problem, algorithm, seed)."""
+    """Existing runs keyed by (problem, algorithm, seed); none if the file is missing."""
     records: dict[tuple[str, str, int], RunRecord] = {}
-    if not path.exists():
+    try:
+        fh = path.open(newline="")
+    except FileNotFoundError:
         return records
-    with path.open(newline="") as fh:
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is not None and tuple(reader.fieldnames) != RUN_COLUMNS:
             raise ConfigurationError(
@@ -378,13 +375,18 @@ def run_matrix(config: ExperimentConfig, workers: int = 1,
                progress=None) -> list[RunRecord]:
     """Execute every missing cell of the experiment matrix.
 
-    Returns the full record list in matrix order.  progress, if given, is
-    called as progress(done, total, record_or_none) after each cell.
+    Cells run in a pool of min(workers, cells left) processes, or in this
+    process when that is at most 1.  Returns the full record list in matrix
+    order.  progress, if given, is called as progress(done, total,
+    record_or_none) after each cell.
     """
     if workers < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {workers}")
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # FileExistsError when out is a file
+        raise ConfigurationError(f"cannot create output directory {out}: {exc.strerror}") from None
     meta_path = out / METADATA_FILE
     fingerprint = config.fingerprint()
     if meta_path.exists():
@@ -409,51 +411,41 @@ def run_matrix(config: ExperimentConfig, workers: int = 1,
 
     runs_path = out / RUNS_FILE
     existing = _read_runs(runs_path)
-    cells = {(problem.key, algorithm.key, seed): RunTask(config, problem, algorithm, seed)
+    cells = {(problem.key, algorithm.key, seed): (problem, algorithm, seed)
              for problem in config.problems for algorithm in config.algorithms
              for seed in config.seeds}
-    tasks = {key: task for key, task in cells.items()
+    tasks = {key: cell for key, cell in cells.items()
              if key not in existing or not set(config.metrics) <= set(existing[key].metrics)}
 
     failures: list[list] = []  # failures.csv rows
-    total = len(tasks)
-    done = 0
+    # no more workers than cells: a fork-started pool launches them all at the first submit
+    jobs = min(workers, len(tasks))
     # an empty file (killed before the header flush, or touched) needs the header too
     new_header = not runs_path.exists() or runs_path.stat().st_size == 0
-    with runs_path.open("a", newline="") as fh:
+    with runs_path.open("a", newline="") as fh, \
+            (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()) as pool:
         writer = csv.writer(fh)
         if new_header:
             writer.writerow(RUN_COLUMNS)
             fh.flush()
-
-        def consume(key, record, error):
-            nonlocal done
-            done += 1
-            if error is None:
+        # one zero-argument call per cell; a worker's is its future's result,
+        # read in submission order so the output stays deterministic
+        calls = {key: pool.submit(_execute_run, config, *cell).result if pool
+                 else partial(_execute_run, config, *cell) for key, cell in tasks.items()}
+        for done, (key, call) in enumerate(calls.items(), start=1):
+            try:
+                record = call()
+            except Exception as exc:  # record and move on
+                record = None
+                failures.append([*key, f"{type(exc).__name__}: {exc}"])
+            else:
                 for metric in config.metrics:
                     writer.writerow([*key, metric, repr(record.metrics[metric]), record.fes,
                                      repr(record.wall_ms)])
                 fh.flush()
                 existing[key] = record
-            else:
-                failures.append([*key, f"{type(error).__name__}: {error}"])
             if progress is not None:
-                progress(done, total, record)
-
-        if workers == 1 or not tasks:
-            for key, task in tasks.items():
-                try:
-                    consume(key, _execute_run(task), None)
-                except Exception as exc:  # record and move on
-                    consume(key, None, exc)
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {key: pool.submit(_execute_run, task) for key, task in tasks.items()}
-                for key, fut in futures.items():  # submission order keeps output deterministic
-                    try:
-                        consume(key, fut.result(), None)
-                    except Exception as exc:
-                        consume(key, None, exc)
+                progress(done, len(tasks), record)
 
     failures_path = out / FAILURES_FILE
     if failures:

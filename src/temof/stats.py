@@ -138,9 +138,8 @@ def ranksum_p(a, b) -> tuple[float, float, str]:
     if n <= RANKSUM_EXACT_MAX and counts.size == n:
         return _ranksum_exact_p(n1, n2, int(round(r_a))), r_a, "exact"
     mu = n1 * (n + 1) / 2.0
+    # with two or more tie groups the bracket is at least 3, so var > 0
     var = n1 * n2 / 12.0 * ((n + 1) - _tie_term(counts) / (n * (n - 1)))
-    if var <= 0:
-        return 1.0, r_a, "degenerate"
     z = (abs(r_a - mu) - 0.5) / math.sqrt(var)
     p = min(1.0, 2.0 * _normal_cdf(-max(z, 0.0)))
     return p, r_a, "normal"
@@ -212,9 +211,8 @@ def signed_rank(a, b, orientation: str = LOWER_IS_BETTER) -> SignedRankResult:
         return SignedRankResult(r_plus, r_minus, p, n_eff, "exact")
     t = min(r_plus, r_minus)
     mu = n_eff * (n_eff + 1) / 4.0
+    # at least n(n+1)^2/16 > 0, reached when every |gain| ties
     var = n_eff * (n_eff + 1) * (2 * n_eff + 1) / 24.0 - _tie_term(counts) / 48.0
-    if var <= 0:
-        return SignedRankResult(r_plus, r_minus, 1.0, n_eff, "degenerate")
     z = (t - mu + 0.5) / math.sqrt(var)
     p = min(1.0, 2.0 * _normal_cdf(z))
     return SignedRankResult(r_plus, r_minus, p, n_eff, "normal")

@@ -2,6 +2,7 @@ import csv
 import json
 import pickle
 import warnings
+from concurrent.futures import Future
 from dataclasses import asdict
 from pathlib import Path
 
@@ -295,7 +296,7 @@ class TestRunMatrix:
         before = (tmp_path / "out" / "runs.csv").read_bytes()
         executed = []
         orig = harness._execute_run
-        harness._execute_run = lambda task: executed.append(task) or orig(task)
+        harness._execute_run = lambda *cell: executed.append(cell) or orig(*cell)
         try:
             run_matrix(cfg)
         finally:
@@ -347,10 +348,10 @@ class TestRunMatrix:
         cfg = tiny_config(tmp_path / "out", seeds=(0,), metrics=("IGD",))
         orig = harness._execute_run
 
-        def flaky(task):
-            if task.algorithm.name == "temof-nsga3":
+        def flaky(config, problem, algorithm, seed):
+            if algorithm.name == "temof-nsga3":
                 raise RuntimeError("synthetic fault")
-            return orig(task)
+            return orig(config, problem, algorithm, seed)
 
         harness._execute_run = flaky
         try:
@@ -410,6 +411,34 @@ class TestRunMatrix:
         for a, b in zip(seq, par):
             a.pop("wall_ms"), b.pop("wall_ms")
             assert a == b
+
+    def test_pool_has_no_more_workers_than_cells(self, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordingPool:  # runs each cell in-process as it is submitted
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        cfg = tiny_config(tmp_path / "out", seeds=(0,), metrics=("IGD",))
+        assert len(run_matrix(cfg, workers=64)) == 2
+        assert pools == [2]
+        runs = tmp_path / "out" / "runs.csv"
+        runs.write_bytes(b"".join(runs.read_bytes().splitlines(keepends=True)[:-1]))
+        assert len(run_matrix(cfg, workers=8)) == 2  # one cell left: run in-process
+        assert pools == [2]
+        assert len(read_rows(runs)) == 2
 
     def test_progress_callback(self, tmp_path):
         seen = []
@@ -578,6 +607,14 @@ class TestCli:
         assert cli_main(["metric", "hv", "--front", str(front), "--ref", str(ref)]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.3125)
 
+    def test_metric_hv_one_objective(self, tmp_path, capsys):
+        front = tmp_path / "front.csv"
+        ref = tmp_path / "ref.csv"
+        front.write_text("0.2\n0.5\n")
+        ref.write_text("1.0\n")
+        assert cli_main(["metric", "hv", "--front", str(front), "--ref", str(ref)]) == 0
+        assert float(capsys.readouterr().out.strip()) == pytest.approx(0.8, abs=1e-15)
+
     def test_metric_hv_rejects_multirow_reference(self, tmp_path, capsys):
         front = tmp_path / "front.csv"
         ref = tmp_path / "ref.csv"
@@ -619,6 +656,36 @@ class TestCli:
         assert cli_main(["metric", "igd", "--front", str(tmp_path / "a.csv"),
                          "--ref", str(tmp_path / "b.csv")]) == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["front", "ref"])
+    def test_metric_directory_path(self, tmp_path, capsys, where):
+        files = {"front": tmp_path / "front.csv", "ref": tmp_path / "ref.csv"}
+        np.savetxt(files["front"], [[0.5, 0.5]], delimiter=",")
+        np.savetxt(files["ref"], [[1.0, 1.0]], delimiter=",")
+        files[where] = tmp_path
+        assert cli_main(["metric", "igd", "--front", str(files["front"]),
+                         "--ref", str(files["ref"])]) == 2
+        assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+    def test_run_config_directory(self, tmp_path, capsys):
+        assert cli_main(["run", "--config", str(tmp_path)]) == 2
+        assert (capsys.readouterr().err
+                == f"error: cannot read config file {tmp_path}: Is a directory\n")
+
+    @pytest.mark.parametrize("blocker, message", [
+        ("out", "cannot create output directory {out}: File exists"),
+        ("metadata.json", "cannot read metadata file {out}/metadata.json: Is a directory"),
+        ("runs.csv", "cannot read {out}/runs.csv: Is a directory")])
+    def test_run_output_path_unusable(self, tmp_path, capsys, blocker, message):
+        out = tmp_path / "out"
+        if blocker == "out":
+            out.write_text("")
+        else:
+            (out / blocker).mkdir(parents=True)
+        rc = cli_main(["run", "--problem", "ZDT1", "--algo", "nsga3", "--seeds", "1",
+                       "--n", "10", "--max-fes", "20", "--out", str(out), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message.format(out=out)}\n"
 
     def test_run_with_flags_and_reports(self, tmp_path, capsys):
         out = tmp_path / "exp"

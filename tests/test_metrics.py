@@ -152,6 +152,13 @@ class TestHvExact:
     def test_single_point_3d(self):
         assert abs(hv([[0.5, 0.5, 0.5]], [1.0, 1.0, 1.0]).value - 0.125) <= 1e-12
 
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    def test_one_objective_is_the_distance_from_the_best(self, mode):
+        # every Monte Carlo sample in [0.2, 1] is dominated, so both modes are exact
+        r = hv([[0.2], [0.5]], [1.0], mode=mode, samples=1000)
+        assert r.mode == mode
+        assert r.value == pytest.approx(0.8, abs=1e-15)
+
     def test_two_boxes_3d_union(self):
         pts = [[0.5, 0.5, 0.5], [0.25, 0.25, 0.75]]
         expected = 0.125 + 0.75 * 0.75 * 0.25 - 0.5 * 0.5 * 0.25

@@ -146,6 +146,17 @@ class TestRanksumApprox:
         assert p_exact == pytest.approx(ref.pvalue, rel=0.25)
 
 
+    @pytest.mark.parametrize("a, b", [([1.0] * 11, [1.0] * 10 + [2.0]),
+                                      ([2.0] + [1.0] * 20, [1.0] * 3),
+                                      ([1.0, 1.0], [2.0])])
+    def test_all_but_one_tied_stays_normal(self, a, b):
+        p, _, method = ranksum_p(a, b)
+        assert method == "normal"
+        ref = scipy.stats.mannwhitneyu(a, b, alternative="two-sided",
+                                       method="asymptotic", use_continuity=True)
+        assert p == pytest.approx(ref.pvalue, rel=1e-9)
+
+
 class TestRanksumMark:
     def test_direction_lower_is_better(self):
         mark = ranksum_mark([1, 2, 3], [4, 5, 6], alpha=0.2)
@@ -231,6 +242,15 @@ class TestSignedRank:
         b = a + rng.normal(size=40) * 0.6 + 0.2
         res = signed_rank(a, b)
         assert res.method == "normal"
+        ref = scipy.stats.wilcoxon(a, b, mode="approx", correction=True)
+        assert res.p_value == pytest.approx(ref.pvalue, rel=1e-6)
+
+    @pytest.mark.parametrize("wins", [26, 20, 13])
+    def test_all_gains_tied_stays_normal(self, wins):
+        a = np.zeros(26)
+        b = np.where(np.arange(26) < wins, 1.0, -1.0)  # every |gain| is 1
+        res = signed_rank(a, b)
+        assert res.method == "normal" and res.n_effective == 26
         ref = scipy.stats.wilcoxon(a, b, mode="approx", correction=True)
         assert res.p_value == pytest.approx(ref.pvalue, rel=1e-6)
 
