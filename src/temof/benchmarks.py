@@ -35,39 +35,28 @@ def _dtlz_g2(tail: np.ndarray) -> np.ndarray:
     return (z * z).sum(axis=1)
 
 
-def _linear_shape(position: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """DTLZ1 objectives from position variables and the g landscape."""
-    m = position.shape[1] + 1
-    f = np.empty((position.shape[0], m))
-    base = 0.5 * (1.0 + g)
+def _shape(scale: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """DTLZ objectives f_i = scale * prod(head[:, :M-1-i]) * tail[:, M-1-i]; f_0 has no tail."""
+    m = head.shape[1] + 1
+    f = np.empty((head.shape[0], m))
     for i in range(m):
-        val = base.copy()
+        val = scale.copy()
         if m - 1 - i > 0:
-            val *= np.prod(position[:, :m - 1 - i], axis=1)
+            val *= np.prod(head[:, :m - 1 - i], axis=1)
         if i > 0:
-            val *= 1.0 - position[:, m - 1 - i]
+            val *= tail[:, m - 1 - i]
         f[:, i] = val
     return f
 
 
 def _concave_shape(theta: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Unit-sphere objectives from angles in [0, pi/2] and the g landscape."""
-    m = theta.shape[1] + 1
-    cos = np.cos(theta)
-    sin = np.sin(theta)
-    f = np.empty((theta.shape[0], m))
-    for i in range(m):
-        val = 1.0 + g
-        if m - 1 - i > 0:
-            val = val * np.prod(cos[:, :m - 1 - i], axis=1)
-        if i > 0:
-            val = val * sin[:, m - 1 - i]
-        f[:, i] = val
-    return f
+    return _shape(1.0 + g, np.cos(theta), np.sin(theta))
 
 
 def _dtlz1(x: np.ndarray, m: int) -> np.ndarray:
-    return _linear_shape(x[:, :m - 1], _dtlz_g1(x[:, m - 1:]))
+    position = x[:, :m - 1]
+    return _shape(0.5 * (1.0 + _dtlz_g1(x[:, m - 1:])), position, 1.0 - position)
 
 
 def _dtlz2(x: np.ndarray, m: int) -> np.ndarray:
@@ -78,8 +67,8 @@ def _dtlz3(x: np.ndarray, m: int) -> np.ndarray:
     return _concave_shape(x[:, :m - 1] * (np.pi / 2.0), _dtlz_g1(x[:, m - 1:]))
 
 
-def _dtlz4(x: np.ndarray, m: int, alpha: float = 100.0) -> np.ndarray:
-    return _concave_shape(x[:, :m - 1] ** alpha * (np.pi / 2.0), _dtlz_g2(x[:, m - 1:]))
+def _dtlz4(x: np.ndarray, m: int) -> np.ndarray:  # bias alpha = 100
+    return _concave_shape(x[:, :m - 1] ** 100.0 * (np.pi / 2.0), _dtlz_g2(x[:, m - 1:]))
 
 
 def _dtlz56_theta(x: np.ndarray, m: int, g: np.ndarray) -> np.ndarray:

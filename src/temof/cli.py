@@ -20,7 +20,7 @@ import numpy as np
 
 from .benchmarks import make_problem, problem_names
 from .core import TemofError, UsageError
-from .harness import (ALGORITHM_NAMES, KNOWN_METRICS, ExperimentConfig,
+from .harness import (ALGORITHM_NAMES, FAILURES_FILE, KNOWN_METRICS, ExperimentConfig,
                       config_from_dict, load_config, load_records, run_matrix,
                       summarize, write_ranks, write_summary)
 from .metrics import MC_DEFAULT_SAMPLES, gd, hv, igd
@@ -159,7 +159,7 @@ def _cmd_run(args) -> int:
         if args.quiet:
             return
         if record is None:
-            print(f"[{done}/{total}] failed (see failures.csv)", flush=True)
+            print(f"[{done}/{total}] failed (see {FAILURES_FILE})", flush=True)
             return
         vals = " ".join(f"{k}={v:.4e}" for k, v in sorted(record.metrics.items()))
         print(f"[{done}/{total}] {record.problem} {record.algorithm} "
@@ -170,7 +170,7 @@ def _cmd_run(args) -> int:
     out = Path(config.output_dir)
     print(f"{len(records)}/{expected} runs complete in {out}")
     if len(records) < expected:
-        print(f"some runs failed; see {out / 'failures.csv'}", file=sys.stderr)
+        print(f"some runs failed; see {out / FAILURES_FILE}", file=sys.stderr)
         return 1
     if len(config.algorithms) >= 2:
         base = config.algorithms[0].key
@@ -180,8 +180,8 @@ def _cmd_run(args) -> int:
             print()
             print(table.to_markdown(), end="")
         if len(config.problems) >= 2:
-            write_ranks(records, out, list(config.metrics))
-            print(f"\nwrote {out / 'ranks.csv'}")
+            path = write_ranks(records, out, list(config.metrics))
+            print(f"\nwrote {path}")
     return 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import time
@@ -100,7 +101,6 @@ class AlgorithmSpec:
             raise ConfigurationError(
                 f"unknown algorithm {self.name!r}; known: {', '.join(ALGORITHM_NAMES)}")
         self.variation()  # validates operator parameters
-        FrameworkConfig(n=2, max_fes=2, p=self.p, stage_fraction=self.stage_fraction)
 
     @property
     def key(self) -> str:
@@ -108,6 +108,9 @@ class AlgorithmSpec:
 
     def variation(self) -> VariationParams:
         return VariationParams(pc=self.pc, eta_c=self.eta_c, pm=self.pm, eta_m=self.eta_m)
+
+    def framework(self, n: int, max_fes: int) -> FrameworkConfig:
+        return FrameworkConfig(n=n, max_fes=max_fes, p=self.p, stage_fraction=self.stage_fraction)
 
 
 @dataclass(frozen=True)
@@ -140,20 +143,17 @@ class ExperimentConfig:
             raise ConfigurationError("experiment needs at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("seeds must be unique")
-        labels = [p.key for p in self.problems]
-        if len(set(labels)) != len(labels):
-            raise ConfigurationError(f"problem labels are not unique: {labels}")
-        labels = [a.key for a in self.algorithms]
-        if len(set(labels)) != len(labels):
-            raise ConfigurationError(f"algorithm labels are not unique: {labels}")
+        for what, entries in (("problem", self.problems), ("algorithm", self.algorithms)):
+            labels = [entry.key for entry in entries]
+            if len(set(labels)) != len(labels):
+                raise ConfigurationError(f"{what} labels are not unique: {labels}")
         for problem in self.problems:  # the reference directions need n >= n_obj >= 2
             if self.n < problem._n_obj:
                 raise ConfigurationError(
                     f"population size {self.n} is below n_obj={problem._n_obj} of problem "
                     f"{problem.key}")
-        if self.max_fes < self.n:
-            raise ConfigurationError(
-                f"max_fes={self.max_fes} cannot be below the population size {self.n}")
+        for algorithm in self.algorithms:  # max_fes >= n, and p and stage_fraction in [0, 1]
+            algorithm.framework(self.n, self.max_fes)
         for metric in self.metrics:
             if metric not in KNOWN_METRICS:
                 raise ConfigurationError(
@@ -280,6 +280,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(_read_json(Path(path), "config file"))
 
 
+def _write(path: Path, content: str | list[list]) -> Path:
+    """Write text, or CSV rows, to path, creating its directory; returns path."""
+    if not isinstance(content, str):
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows(content)
+        content = buffer.getvalue()
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with path.open("w", newline="") as fh:
+            fh.write(content)
+    except OSError as exc:  # a directory in the way, or no permission
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+    return path
+
+
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
@@ -323,10 +338,8 @@ def _execute_run(config: ExperimentConfig, selection: ProblemSelection,
                                     variation=algo.variation())
         target = population.objectives
     else:
-        result = temof_run(problem,
-                           FrameworkConfig(n=config.n, max_fes=config.max_fes, p=algo.p,
-                                           stage_fraction=algo.stage_fraction),
-                           key, variation=algo.variation())
+        result = temof_run(problem, algo.framework(config.n, config.max_fes), key,
+                           variation=algo.variation())
         fes = result.fes
         target = (result.archive if config.indicator_target == "archive"
                   else result.population).objectives
@@ -364,6 +377,10 @@ def _read_runs(path: Path) -> dict[tuple[str, str, int], RunRecord]:
             except (TypeError, ValueError) as exc:  # a short row reads None
                 raise ConfigurationError(
                     f"{path} line {reader.line_num}: malformed run row ({exc})") from None
+            if row["metric"] not in KNOWN_METRICS:
+                raise ConfigurationError(
+                    f"{path} line {reader.line_num}: malformed run row (unknown metric "
+                    f"{row['metric']!r}; known: {', '.join(KNOWN_METRICS)})")
             rec = records.get(key)
             if rec is None:
                 rec = records[key] = RunRecord(*key, {}, fes, wall_ms)
@@ -449,10 +466,12 @@ def run_matrix(config: ExperimentConfig, workers: int = 1,
 
     failures_path = out / FAILURES_FILE
     if failures:
-        with failures_path.open("w", newline="") as fh:
-            csv.writer(fh).writerows([["problem", "algorithm", "seed", "error"], *failures])
-    elif failures_path.exists():
-        failures_path.unlink()
+        _write(failures_path, [["problem", "algorithm", "seed", "error"], *failures])
+    else:
+        try:
+            failures_path.unlink(missing_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot remove {failures_path}: {exc.strerror}") from None
 
     return [existing[key] for key in cells if key in existing]
 
@@ -480,10 +499,6 @@ def format_sci(x: float) -> str:
     return f"{mantissa}e{sign}{digits}"
 
 
-def format_cell(mean: float, std: float) -> str:
-    return f"{format_sci(mean)} ({format_sci(std)})"
-
-
 @dataclass
 class SummaryCell:
     mean: float
@@ -491,7 +506,7 @@ class SummaryCell:
     mark: str | None = None  # None for the base column
 
     def text(self) -> str:
-        cell = format_cell(self.mean, self.std)
+        cell = f"{format_sci(self.mean)} ({format_sci(self.std)})"
         return f"{cell} {self.mark}" if self.mark else cell
 
 
@@ -606,20 +621,13 @@ def summarize(records: list[RunRecord], base: str, metric: str,
 def write_summary(table: SummaryTable, output_dir: str | Path) -> tuple[Path, Path]:
     """Persist one summary as CSV and markdown; returns both paths."""
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"summary_{table.metric}.csv"
-    with csv_path.open("w", newline="") as fh:
-        csv.writer(fh).writerows(table.to_csv_rows())
-    md_path = out / f"summary_{table.metric}.md"
-    md_path.write_text(table.to_markdown())
-    return csv_path, md_path
+    return (_write(out / f"summary_{table.metric}.csv", table.to_csv_rows()),
+            _write(out / f"summary_{table.metric}.md", table.to_markdown()))
 
 
 def write_ranks(records: list[RunRecord], output_dir: str | Path,
                 metrics: list[str] | None = None) -> Path:
     """Friedman mean ranks per metric, one CSV for the whole experiment."""
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if metrics is None:
         metrics = sorted({m for rec in records for m in rec.metrics})
     rows = [["metric", "algorithm", "mean_rank", "chi_square", "n_problems"]]
@@ -633,7 +641,4 @@ def write_ranks(records: list[RunRecord], output_dir: str | Path,
         for i, algo in enumerate(algorithms):
             rows.append([metric, algo, f"{fried.mean_ranks[i]:.6f}",
                          f"{fried.chi_square:.6f}", str(fried.n_problems)])
-    path = out / RANKS_FILE
-    with path.open("w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
-    return path
+    return _write(Path(output_dir) / RANKS_FILE, rows)

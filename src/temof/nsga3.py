@@ -284,6 +284,8 @@ def _fill(pop: Population, fronts: list[np.ndarray], n: int, refs: ReferencePoin
     advances even when nothing is niched.  Niche counts start from the
     associations of the fronts kept whole.
     """
+    if n < 1:
+        raise UsageError(f"selection size must be >= 1, got {n}")
     members = np.concatenate(fronts)
     normalized = normalize(pop.f[members], state)
     if members.size <= n:
@@ -305,8 +307,6 @@ def environmental_selection(pop: Population, n: int, refs: ReferencePointSet,
     Returns min(n, len(pop)) members; the normalization state is advanced
     in place.
     """
-    if n < 1:
-        raise UsageError(f"selection size must be >= 1, got {n}")
     # a population that fits is kept in its own order, unsorted
     fronts = sort_fronts(pop.f, cover=n) if len(pop) > n else [np.arange(len(pop))]
     return _fill(pop, fronts, n, refs, state, rng)
@@ -320,8 +320,6 @@ def first_front_selection(pop: Population, n: int, refs: ReferencePointSet,
     May return fewer than n members; the result is always mutually
     non-dominated.
     """
-    if n < 1:
-        raise UsageError(f"selection size must be >= 1, got {n}")
     return _fill(pop, sort_fronts(pop.f, cover=1), n, refs, state, rng)
 
 

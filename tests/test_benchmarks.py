@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 
 from temof import (ConfigurationError, UnsupportedError, UsageError,
                    make_problem, pareto_mask, problem_names, sample_true_front)
-from temof.benchmarks import _grid_front, _subsample
+from temof.benchmarks import _dtlz56_theta, _dtlz_g1, _dtlz_g2, _grid_front, _subsample
 
 
 class TestRegistry:
@@ -129,6 +129,67 @@ class TestHandValues:
     def test_zdt6_endpoint(self):
         p = make_problem("ZDT6")
         assert np.allclose(p.evaluate_batch(np.zeros(10))[0], [1.0, 0.0])
+
+
+def linear_shape_oracle(position, g):
+    """DTLZ1 objectives as first written, before the shape kernel was shared."""
+    m = position.shape[1] + 1
+    f = np.empty((position.shape[0], m))
+    base = 0.5 * (1.0 + g)
+    for i in range(m):
+        val = base.copy()
+        if m - 1 - i > 0:
+            val *= np.prod(position[:, :m - 1 - i], axis=1)
+        if i > 0:
+            val *= 1.0 - position[:, m - 1 - i]
+        f[:, i] = val
+    return f
+
+
+def concave_shape_oracle(theta, g):
+    """Unit-sphere objectives as first written, before the shape kernel was shared."""
+    m = theta.shape[1] + 1
+    cos = np.cos(theta)
+    sin = np.sin(theta)
+    f = np.empty((theta.shape[0], m))
+    for i in range(m):
+        val = 1.0 + g
+        if m - 1 - i > 0:
+            val = val * np.prod(cos[:, :m - 1 - i], axis=1)
+        if i > 0:
+            val = val * sin[:, m - 1 - i]
+        f[:, i] = val
+    return f
+
+
+def _dtlz56_oracle(x, m, g):
+    return concave_shape_oracle(_dtlz56_theta(x, m, g), g)
+
+
+DTLZ_ORACLES = {
+    "DTLZ1": lambda x, m: linear_shape_oracle(x[:, :m - 1], _dtlz_g1(x[:, m - 1:])),
+    "DTLZ2": lambda x, m: concave_shape_oracle(x[:, :m - 1] * (np.pi / 2.0),
+                                               _dtlz_g2(x[:, m - 1:])),
+    "DTLZ3": lambda x, m: concave_shape_oracle(x[:, :m - 1] * (np.pi / 2.0),
+                                               _dtlz_g1(x[:, m - 1:])),
+    "DTLZ4": lambda x, m: concave_shape_oracle(x[:, :m - 1] ** 100.0 * (np.pi / 2.0),
+                                               _dtlz_g2(x[:, m - 1:])),
+    "DTLZ5": lambda x, m: _dtlz56_oracle(x, m, _dtlz_g2(x[:, m - 1:])),
+    "DTLZ6": lambda x, m: _dtlz56_oracle(x, m, (x[:, m - 1:] ** 0.1).sum(axis=1)),
+}
+
+
+class TestShapeKernel:
+    # an oracle, not a recorded digest: DTLZ4's and DTLZ6's powers depend on
+    # numpy's SIMD level, which the oracle shares with the evaluator
+    @pytest.mark.parametrize("name", sorted(DTLZ_ORACLES))
+    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    def test_evaluator_is_byte_equal_to_oracle(self, name, m):
+        problem = make_problem(name, n_obj=m)
+        x = np.random.default_rng(m).random((64, problem.n_var))
+        x[0], x[1] = 0.0, 1.0  # the box corners
+        f = problem.evaluate_batch(x)
+        assert f.tobytes() == DTLZ_ORACLES[name](x, m).tobytes()
 
 
 class TestFrontSamplers:

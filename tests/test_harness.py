@@ -16,7 +16,7 @@ from temof import (AlgorithmSpec, ConfigurationError, ExperimentConfig,
 from temof.cli import main as cli_main
 from temof.benchmarks import make_problem
 from temof.core import ProblemSpec
-from temof.harness import config_from_dict, format_cell, format_sci
+from temof.harness import SummaryCell, config_from_dict, format_sci
 
 
 def tiny_config(out_dir, seeds=(0, 1), metrics=("IGD", "HV")):
@@ -37,10 +37,17 @@ def read_rows(path):
 
 class TestConfigValidation:
     def test_duplicate_algorithm_labels(self):
-        with pytest.raises(ConfigurationError, match="not unique"):
+        with pytest.raises(ConfigurationError, match="algorithm labels are not unique"):
             ExperimentConfig(problems=(ProblemSelection("ZDT1"),),
                              algorithms=(AlgorithmSpec("nsga3"),
                                          AlgorithmSpec("nsga3")),
+                             seeds=(0,), n=10, max_fes=100)
+
+    def test_duplicate_problem_labels(self):
+        with pytest.raises(ConfigurationError, match="problem labels are not unique"):
+            ExperimentConfig(problems=(ProblemSelection("ZDT1"),
+                                       ProblemSelection("ZDT2", label="ZDT1")),
+                             algorithms=(AlgorithmSpec("nsga3"),),
                              seeds=(0,), n=10, max_fes=100)
 
     def test_labels_disambiguate(self):
@@ -209,6 +216,19 @@ class TestConfigFromDict:
                         '"n": 10, "max_fes": 100, ' + entry + "}")
         with pytest.raises(ConfigurationError, match=f"{named} must be finite"):
             load_config(path)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"max_fes": 9}, "max_fes=9 cannot be below the population size 10"),
+        ({"algorithms": [{"name": "temof-nsga3", "p": 1.5}]}, "p must be in [0, 1], got 1.5"),
+        ({"algorithms": [{"name": "nsga3", "p": -0.1}]}, "p must be in [0, 1], got -0.1"),
+        ({"algorithms": [{"name": "temof-nsga3", "stage_fraction": 2}]},
+         "stage_fraction must be in [0, 1], got 2.0")])
+    def test_run_settings_checked_at_the_config_sizes(self, change, message):
+        raw = {"problems": ["ZDT1"], "algorithms": ["nsga3"], "seeds": [0],
+               "n": 10, "max_fes": 100, **change}
+        with pytest.raises(ConfigurationError) as info:
+            config_from_dict(raw)
+        assert str(info.value) == message
 
     def test_integral_float_is_an_int(self):
         cfg = config_from_dict({"problems": ["ZDT1"], "algorithms": ["nsga3"],
@@ -459,7 +479,8 @@ class TestRunMatrix:
 
     @pytest.mark.parametrize("row", ["ZDT1,nsga3,x,IGD,0.5,100,1.0",
                                      "ZDT1,nsga3,0,IGD,junk,100,1.0",
-                                     "ZDT1,nsga3,0,IGD"])
+                                     "ZDT1,nsga3,0,IGD",
+                                     "ZDT1,nsga3,0,FOO,0.5,100,1.0"])
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         runs = tmp_path / "runs.csv"
         runs.write_text(",".join(harness.RUN_COLUMNS) + "\n"
@@ -494,7 +515,7 @@ class TestFormatting:
         assert format_sci(9.99e21) == "1.0e+22"
 
     def test_format_cell(self):
-        assert format_cell(14.3, 0.756) == "1.4e+1 (7.6e-1)"
+        assert SummaryCell(14.3, 0.756).text() == "1.4e+1 (7.6e-1)"
 
 
 def synthetic_records(base_better=True):
@@ -813,6 +834,51 @@ class TestCli:
                                            "ZDT1,nsga3,x,IGD,0.5,100,1.0\n")
         assert cli_main(["report", "ranks", "--runs", str(tmp_path)]) == 2
         assert "line 2: malformed run row" in capsys.readouterr().err
+
+    def test_report_on_unknown_metric(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(",".join(harness.RUN_COLUMNS) + "\n" "ZDT1,nsga3,0,FOO,0.5,100,1.0\n")
+        assert cli_main(["report", "ranks", "--runs", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (f"error: {runs} line 2: malformed run row "
+                                           f"(unknown metric 'FOO'; known: IGD, GD, HV)\n")
+
+    @pytest.mark.parametrize("command, blocker", [
+        (["summarize", "--base", "nsga3", "--metric", "IGD"], "summary_IGD.csv"),
+        (["summarize", "--base", "nsga3", "--metric", "IGD"], "summary_IGD.md"),
+        (["ranks"], "ranks.csv")], ids=["summary-csv", "summary-md", "ranks"])
+    def test_report_file_unwritable(self, tmp_path, capsys, command, blocker):
+        (tmp_path / "runs.csv").write_text(",".join(harness.RUN_COLUMNS) + "\n"
+                                           "ZDT1,nsga3,0,IGD,0.5,100,1.0\n")
+        (tmp_path / blocker).mkdir()
+        assert cli_main(["report", command[0], "--runs", str(tmp_path), *command[1:]]) == 2
+        assert (capsys.readouterr().err
+                == f"error: cannot write {tmp_path / blocker}: Is a directory\n")
+
+    @pytest.mark.parametrize("failing, message", [
+        (True, "cannot write {path}: Is a directory"),
+        (False, "cannot remove {path}: Is a directory")], ids=["failing-run", "clean-run"])
+    def test_failures_file_unwritable(self, tmp_path, capsys, monkeypatch, failing, message):
+        def broken(config, problem, algorithm, seed):
+            raise RuntimeError("synthetic fault")
+        if failing:
+            monkeypatch.setattr(harness, "_execute_run", broken)
+        out = tmp_path / "out"
+        (out / "failures.csv").mkdir(parents=True)
+        rc = cli_main(["run", "--problem", "ZDT1", "--algo", "nsga3", "--seeds", "1",
+                       "--n", "10", "--max-fes", "20", "--out", str(out), "--quiet"])
+        assert rc == 2
+        assert (capsys.readouterr().err
+                == f"error: {message.format(path=out / 'failures.csv')}\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-fes", "50", "--p", "1.5"], "p must be in [0, 1], got 1.5"),
+        (["--max-fes", "5"], "max_fes=5 cannot be below the population size 10")])
+    def test_run_settings_rejected(self, tmp_path, capsys, flags, message):
+        rc = cli_main(["run", "--problem", "ZDT1", "--algo", "temof-nsga3", "--seeds", "1",
+                       "--n", "10", *flags, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_report_summarize_checks_alpha(self, tmp_path, capsys):
         (tmp_path / "runs.csv").write_text(",".join(harness.RUN_COLUMNS) + "\n"

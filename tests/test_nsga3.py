@@ -272,6 +272,17 @@ class TestEnvironmentalSelection:
         assert np.array_equal(a.f, b.f)
 
 
+@pytest.mark.parametrize("select", [environmental_selection, first_front_selection])
+def test_selection_size_checked_before_normalizing(select):
+    state = NormalizationState()
+    normalize(np.array([[1.0, 1.0], [2.0, 0.5]]), state)
+    ideal = state.ideal.copy()
+    pop = _evaluated([[0.0, 2.0], [2.0, 0.0], [3.0, 3.0]])  # below the running ideal
+    with pytest.raises(UsageError, match="selection size must be >= 1, got 0"):
+        select(pop, 0, das_dennis(2, 4), state, np.random.default_rng(0))
+    assert np.array_equal(state.ideal, ideal)
+
+
 def niche_select_oracle(rho, crit_assoc, crit_dist, k, rng):
     """_niche_select as first written: rescan the lowest level on every pick."""
     n_refs = rho.shape[0]
