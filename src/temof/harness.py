@@ -437,14 +437,17 @@ def run_matrix(config: ExperimentConfig, workers: int = 1,
     failures: list[list] = []  # failures.csv rows
     # no more workers than cells: a fork-started pool launches them all at the first submit
     jobs = min(workers, len(tasks))
-    # an empty file (killed before the header flush, or touched) needs the header too
-    new_header = not runs_path.exists() or runs_path.stat().st_size == 0
+    # a new or empty file (killed before the header flush, or touched) needs the
+    # header, and a last row cut off before its newline needs one before ours
+    tail = runs_path.read_bytes()[-1:] if runs_path.exists() else b""
     with runs_path.open("a", newline="") as fh, \
             (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()) as pool:
         writer = csv.writer(fh)
-        if new_header:
+        if not tail:
             writer.writerow(RUN_COLUMNS)
             fh.flush()
+        elif tail != b"\n":
+            fh.write("\n")
         # one zero-argument call per cell; a worker's is its future's result,
         # read in submission order so the output stays deterministic
         calls = {key: pool.submit(_execute_run, config, *cell).result if pool
@@ -456,9 +459,11 @@ def run_matrix(config: ExperimentConfig, workers: int = 1,
                 record = None
                 failures.append([*key, f"{type(exc).__name__}: {exc}"])
             else:
+                saved = existing[key].metrics if key in existing else {}
                 for metric in config.metrics:
-                    writer.writerow([*key, metric, repr(record.metrics[metric]), record.fes,
-                                     repr(record.wall_ms)])
+                    if metric not in saved:  # a partly saved cell gets only its missing rows
+                        writer.writerow([*key, metric, repr(record.metrics[metric]),
+                                         record.fes, repr(record.wall_ms)])
                 fh.flush()
                 existing[key] = record
             if progress is not None:

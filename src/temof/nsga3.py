@@ -19,6 +19,10 @@ from .variation import VariationParams
 
 MAX_REFERENCE_POINTS = 100_000
 INTERCEPT_FLOOR = 1e-12
+# associate: a squared projection within this fraction of |f|^2 of the largest
+# may order opposite to the rounded distances (rounding moves either by a few
+# 1e-16 |f|^2), so such rows are decided by the distances themselves
+NEAR_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -145,48 +149,17 @@ def associate(normalized: np.ndarray, refs: ReferencePointSet) -> tuple[np.ndarr
     w = refs.points
     unit = w / np.linalg.norm(w, axis=1, keepdims=True)
     proj = f @ unit.T
-    # squared residual one objective at a time on N x R planes, summed in the
-    # order np.linalg.norm(axis=2) sums an N x R x M tensor, so the distances
-    # (and so the ties) are exactly those of the direct formula
-    f_cols = np.ascontiguousarray(f.T)
-    unit_cols = np.ascontiguousarray(unit.T)
-
-    def square(k: int) -> np.ndarray:
-        r = proj * unit_cols[k]
-        np.subtract(f_cols[k][:, None], r, out=r)
-        return np.multiply(r, r, out=r)
-
-    dist = np.sqrt(_pairwise_sum(square, 0, f.shape[1]))
-    idx = dist.argmin(axis=1)
-    return idx, dist[np.arange(f.shape[0]), idx]
-
-
-def _pairwise_sum(term, lo: int, hi: int) -> np.ndarray:
-    """Sum term(lo) ... term(hi - 1) in numpy's pairwise order.
-
-    This is the order numpy adds a contiguous axis of hi - lo values: fewer
-    than 8 add in sequence; up to 128, eight running partials over blocks of
-    8 combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the tail adds in
-    sequence; longer runs split in two at a multiple of 8.
-    """
-    n = hi - lo
-    if n < 8:
-        total = term(lo)
-        for k in range(lo + 1, hi):
-            total += term(k)
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(term, lo, lo + half) + _pairwise_sum(term, lo + half, hi)
-    r = [term(lo + j) for j in range(8)]
-    head = hi - n % 8
-    for i in range(lo + 8, head, 8):
-        for j in range(8):
-            r[j] += term(i + j)
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for k in range(head, hi):
-        total += term(k)
-    return total
+    # for a unit u, dist^2 = |f|^2 - (f.u)^2: the nearest direction has the
+    # largest squared projection, and only its residual needs a norm
+    sq = proj * proj
+    idx = sq.argmax(axis=1)
+    rows = np.arange(f.shape[0])
+    floor = sq[rows, idx] - NEAR_TIE * np.einsum("ij,ij->i", f, f)
+    near = np.count_nonzero(sq >= floor[:, None], axis=1) > 1
+    if near.any():  # the direct formula's argmin over every residual
+        idx[near] = np.linalg.norm(f[near, None, :] - proj[near, :, None] * unit,
+                                   axis=2).argmin(axis=1)
+    return idx, np.linalg.norm(f - proj[rows, idx][:, None] * unit[idx], axis=1)
 
 
 class _BoundedDraws:

@@ -339,6 +339,38 @@ class TestRunMatrix:
             a.pop("wall_ms"), b.pop("wall_ms")
             assert a == b
 
+    def test_resume_writes_only_missing_metric_rows(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out")
+        run_matrix(cfg)
+        runs = tmp_path / "out" / "runs.csv"
+        full = read_rows(runs)
+        lines = runs.read_bytes().splitlines(keepends=True)
+        assert b",HV," in lines[2]
+        runs.write_bytes(b"".join(lines[:2] + lines[3:]))  # the first run keeps only IGD
+        run_matrix(cfg)
+        again = read_rows(runs)
+        keys = [(r["problem"], r["algorithm"], r["seed"], r["metric"]) for r in again]
+        assert len(keys) == len(set(keys)) == len(full)
+        assert again[-1]["metric"] == "HV" and again[-1]["seed"] == full[1]["seed"]
+        for a, b in zip(full[:1] + full[2:] + full[1:2], again):  # identical apart from timing
+            a.pop("wall_ms"), b.pop("wall_ms")
+            assert a == b
+
+    def test_resume_after_an_unterminated_last_row(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out")
+        run_matrix(cfg)
+        runs = tmp_path / "out" / "runs.csv"
+        full = read_rows(runs)
+        lines = runs.read_bytes().splitlines(keepends=True)
+        runs.write_bytes(b"".join(lines[:-1]).rstrip(b"\r\n"))  # as a cut-off write leaves it
+        assert len(run_matrix(cfg)) == 4
+        again = read_rows(runs)
+        assert len(again) == len(full)
+        for a, b in zip(full, again):
+            a.pop("wall_ms"), b.pop("wall_ms")
+            assert a == b
+        assert len(load_records(tmp_path / "out")) == 4
+
     def test_empty_runs_file_gets_a_header(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", seeds=(0,), metrics=("IGD",))
         (tmp_path / "out").mkdir()

@@ -153,8 +153,10 @@ def associate_oracle(normalized, refs):
 
 
 class TestAssociate:
-    # numpy sums up to 7 values in sequence and 8 or more pairwise, and splits
-    # runs above 128; associate reproduces each order, so results are identical
+    # associate picks the largest squared projection, settles near-ties by the
+    # oracle's own residuals, and takes each distance as the norm of one
+    # contiguous M-long residual row, as the oracle does, so the bytes agree;
+    # m spans numpy's sequential (< 8), pairwise and split (> 128) row sums
     @pytest.mark.parametrize("m", [*range(2, 18), 130, 260])
     def test_matches_oracle(self, m):
         rng = np.random.default_rng(m)
@@ -163,6 +165,8 @@ class TestAssociate:
                 refs = ReferencePointSet(rng.random((n_refs, m)))
                 f = rng.random((int(rng.integers(1, 50)), m)) * scale
                 f[rng.integers(f.shape[0], size=f.shape[0] // 3)] = f[0]  # duplicates
+                signs = np.where(rng.random(f.shape) < 0.3, -1.0, 1.0)
+                f = np.vstack([f, f * signs])  # and the same rows with mixed signs
                 idx, dist = associate(f, refs)
                 want_idx, want_dist = associate_oracle(f, refs)
                 assert np.array_equal(idx, want_idx)
@@ -176,6 +180,33 @@ class TestAssociate:
             idx, dist = associate(f, refs)
             want_idx, want_dist = associate_oracle(f, refs)
             assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
+
+    @pytest.mark.parametrize("m,h", [(2, 12), (3, 12), (5, 6), (8, 3), (10, 3), (130, 0), (260, 0)])
+    def test_matches_oracle_on_near_ties(self, m, h):
+        # bisectors of two directions have equal projections on both; a nudge
+        # of 1 or 2 ulp leaves the two within rounding of each other, where the
+        # largest rounded projection alone often disagrees with the oracle;
+        # h = 0 stands for 20 random directions in place of a lattice
+        rng = np.random.default_rng(m)
+        refs = das_dennis(m, h) if h else ReferencePointSet(rng.random((20, m)))
+        unit = refs.points / np.linalg.norm(refs.points, axis=1, keepdims=True)
+        i, j = np.arange(len(unit) - 1), rng.permutation(len(unit) - 1) + 1
+        mid = np.vstack([unit[i] + unit[i + 1], unit[i] + unit[j]])
+        nudged = []
+        for c in rng.choice(m, size=min(m, 3), replace=False):
+            for k in (-2, -1, 1, 2):
+                p = mid.copy()
+                p[:, c] += k * np.spacing(p[:, c])
+                nudged.append(p)
+        f = np.vstack(nudged)
+        idx, dist = associate(f, refs)
+        want_idx, want_dist = associate_oracle(f, refs)
+        assert np.array_equal(idx, want_idx) and np.array_equal(dist, want_dist)
+
+    def test_negative_coordinates(self):
+        refs = ReferencePointSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
+        idx, dist = associate(np.array([[-1.0, 0.0]]), refs)
+        assert idx[0] == 0 and dist[0] == 0.0
 
     def test_hand_case(self):
         refs = ReferencePointSet(np.array([[1.0, 0.0], [0.0, 1.0]]))
