@@ -267,7 +267,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def _read_json(path: Path, what: str):
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigurationError(f"{what} not found: {path}") from None
     except OSError as exc:  # a directory, or no permission
@@ -280,17 +280,23 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return config_from_dict(_read_json(Path(path), "config file"))
 
 
-def _write(path: Path, content: str | list[list]) -> Path:
-    """Write text, or CSV rows, to path, creating its directory; returns path."""
+def _write(path: Path, content: str | list[list], append: bool = False,
+           keep: int | None = None) -> Path:
+    """Write, or append, text or CSV rows to path as UTF-8, creating its directory.
+
+    keep first cuts the file to that many bytes.
+    """
     if not isinstance(content, str):
         buffer = io.StringIO()
         csv.writer(buffer).writerows(content)
         content = buffer.getvalue()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as fh:
+        with path.open("a" if append else "w", encoding="utf-8", newline="") as fh:
+            if keep is not None:
+                fh.truncate(keep)
             fh.write(content)
-    except OSError as exc:  # a directory in the way, or no permission
+    except OSError as exc:  # a directory in the way, a dangling link, or no permission
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     return path
 
@@ -356,36 +362,53 @@ def _execute_run(config: ExperimentConfig, selection: ProblemSelection,
     return RunRecord(selection.key, algo.key, seed, values, fes, wall_ms)
 
 
-def _read_runs(path: Path) -> dict[tuple[str, str, int], RunRecord]:
-    """Existing runs keyed by (problem, algorithm, seed); none if the file is missing."""
-    records: dict[tuple[str, str, int], RunRecord] = {}
+def _parse_runs(path: Path, data: bytes) -> dict[tuple[str, str, int], RunRecord]:
     try:
-        fh = path.open(newline="")
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path} is not UTF-8 text ({exc})") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is not None and tuple(reader.fieldnames) != RUN_COLUMNS:
+        raise ConfigurationError(
+            f"{path} has columns {reader.fieldnames}, expected {list(RUN_COLUMNS)}")
+    records: dict[tuple[str, str, int], RunRecord] = {}
+    for row in reader:
+        try:
+            key = (row["problem"], row["algorithm"], int(row["seed"]))
+            value, fes, wall_ms = float(row["value"]), int(row["fes"]), float(row["wall_ms"])
+        except (TypeError, ValueError) as exc:  # a short row reads None
+            raise ConfigurationError(
+                f"{path} line {reader.line_num}: malformed run row ({exc})") from None
+        if row["metric"] not in KNOWN_METRICS:
+            raise ConfigurationError(
+                f"{path} line {reader.line_num}: malformed run row (unknown metric "
+                f"{row['metric']!r}; known: {', '.join(KNOWN_METRICS)})")
+        rec = records.get(key)
+        if rec is None:
+            rec = records[key] = RunRecord(*key, {}, fes, wall_ms)
+        rec.metrics[row["metric"]] = value
+    return records
+
+
+def _read_runs(path: Path) -> tuple[dict[tuple[str, str, int], RunRecord], int, bytes]:
+    """Existing runs keyed by (problem, algorithm, seed), how many bytes of path hold
+    them, and the last of those bytes.  A missing file holds none, and an unterminated
+    last line that parses neither as a row nor as the header was cut off mid-write, so
+    it is left out.
+    """
+    try:
+        data = path.read_bytes()
     except FileNotFoundError:
-        return records
+        data = b""
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from None
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is not None and tuple(reader.fieldnames) != RUN_COLUMNS:
-            raise ConfigurationError(
-                f"{path} has columns {reader.fieldnames}, expected {list(RUN_COLUMNS)}")
-        for row in reader:
-            try:
-                key = (row["problem"], row["algorithm"], int(row["seed"]))
-                value, fes, wall_ms = float(row["value"]), int(row["fes"]), float(row["wall_ms"])
-            except (TypeError, ValueError) as exc:  # a short row reads None
-                raise ConfigurationError(
-                    f"{path} line {reader.line_num}: malformed run row ({exc})") from None
-            if row["metric"] not in KNOWN_METRICS:
-                raise ConfigurationError(
-                    f"{path} line {reader.line_num}: malformed run row (unknown metric "
-                    f"{row['metric']!r}; known: {', '.join(KNOWN_METRICS)})")
-            rec = records.get(key)
-            if rec is None:
-                rec = records[key] = RunRecord(*key, {}, fes, wall_ms)
-            rec.metrics[row["metric"]] = value
-    return records
+    try:
+        return _parse_runs(path, data), len(data), data[-1:]
+    except ConfigurationError:
+        size = data.rfind(b"\n") + 1  # the end of the last complete line
+        if size == len(data):  # every line is complete, so the fault stands
+            raise
+        return _parse_runs(path, data[:size]), size, data[size - 1:size]
 
 
 def run_matrix(config: ExperimentConfig, workers: int = 1,
@@ -424,30 +447,26 @@ def run_matrix(config: ExperimentConfig, workers: int = 1,
         meta = {"fingerprint": fingerprint, "config": asdict(config),
                 "package_version": __version__,
                 "created": datetime.now(timezone.utc).isoformat()}
-        meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        _write(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
     runs_path = out / RUNS_FILE
-    existing = _read_runs(runs_path)
+    existing, size, tail = _read_runs(runs_path)
     cells = {(problem.key, algorithm.key, seed): (problem, algorithm, seed)
              for problem in config.problems for algorithm in config.algorithms
              for seed in config.seeds}
-    tasks = {key: cell for key, cell in cells.items()
-             if key not in existing or not set(config.metrics) <= set(existing[key].metrics)}
+    lacking = {key: [metric for metric in config.metrics
+                     if key not in existing or metric not in existing[key].metrics]
+               for key in cells}
+    tasks = {key: cell for key, cell in cells.items() if lacking[key]}
+    # a new, empty or cut-off file gets the header, and a last row without its
+    # newline gets one before ours
+    _write(runs_path, [RUN_COLUMNS] if not size else "" if tail == b"\n" else "\n",
+           append=True, keep=size)
 
     failures: list[list] = []  # failures.csv rows
     # no more workers than cells: a fork-started pool launches them all at the first submit
     jobs = min(workers, len(tasks))
-    # a new or empty file (killed before the header flush, or touched) needs the
-    # header, and a last row cut off before its newline needs one before ours
-    tail = runs_path.read_bytes()[-1:] if runs_path.exists() else b""
-    with runs_path.open("a", newline="") as fh, \
-            (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()) as pool:
-        writer = csv.writer(fh)
-        if not tail:
-            writer.writerow(RUN_COLUMNS)
-            fh.flush()
-        elif tail != b"\n":
-            fh.write("\n")
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         # one zero-argument call per cell; a worker's is its future's result,
         # read in submission order so the output stays deterministic
         calls = {key: pool.submit(_execute_run, config, *cell).result if pool
@@ -458,13 +477,10 @@ def run_matrix(config: ExperimentConfig, workers: int = 1,
             except Exception as exc:  # record and move on
                 record = None
                 failures.append([*key, f"{type(exc).__name__}: {exc}"])
-            else:
-                saved = existing[key].metrics if key in existing else {}
-                for metric in config.metrics:
-                    if metric not in saved:  # a partly saved cell gets only its missing rows
-                        writer.writerow([*key, metric, repr(record.metrics[metric]),
-                                         record.fes, repr(record.wall_ms)])
-                fh.flush()
+            else:  # a partly saved cell gets only its missing rows
+                _write(runs_path, [[*key, metric, repr(record.metrics[metric]), record.fes,
+                                    repr(record.wall_ms)] for metric in lacking[key]],
+                       append=True)
                 existing[key] = record
             if progress is not None:
                 progress(done, len(tasks), record)
@@ -486,8 +502,7 @@ def load_records(output_dir: str | Path) -> list[RunRecord]:
     path = Path(output_dir) / RUNS_FILE
     if not path.exists():
         raise UsageError(f"no {RUNS_FILE} under {output_dir}")
-    records = _read_runs(path)
-    return list(records.values())
+    return list(_read_runs(path)[0].values())
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import pickle
 import warnings
 from concurrent.futures import Future
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -379,6 +379,36 @@ class TestRunMatrix:
         assert len(records) == 2
         assert len(load_records(tmp_path / "out")) == 2
         assert len(run_matrix(cfg)) == 2  # and the resume reads it back
+
+    @pytest.mark.parametrize("label", [None, "ZDT1 α→β"], ids=["ascii", "non-ascii"])
+    def test_resume_after_a_cut_off_last_row(self, tmp_path, label):
+        cfg = replace(tiny_config(tmp_path / "out"),
+                      problems=(ProblemSelection("ZDT1", n_var=6, label=label),))
+        run_matrix(cfg)
+        runs = tmp_path / "out" / "runs.csv"
+        full = read_rows(runs)
+        data = runs.read_bytes()
+        short = data[:data.rstrip(b"\r\n").rindex(b",") + 1]  # wall_ms and newline cut off
+        runs.write_bytes(short)
+        assert len(load_records(tmp_path / "out")) == 4  # the cut row was never written
+        assert runs.read_bytes() == short  # and reading leaves it be
+        assert len(run_matrix(cfg)) == 4
+        again = read_rows(runs)
+        assert len(again) == len(full)
+        for a, b in zip(full, again):
+            a.pop("wall_ms"), b.pop("wall_ms")
+            assert a == b
+        assert runs.read_bytes().startswith(short[:short.rindex(b"\n") + 1])
+
+    def test_resume_after_a_cut_off_header(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out", seeds=(0,), metrics=("IGD",))
+        (tmp_path / "out").mkdir()
+        runs = tmp_path / "out" / "runs.csv"
+        runs.write_text("problem,algor")  # as a kill inside the header write leaves it
+        assert load_records(tmp_path / "out") == []
+        assert len(run_matrix(cfg)) == 2
+        assert runs.read_bytes().startswith(",".join(harness.RUN_COLUMNS).encode() + b"\r\n")
+        assert len(read_rows(runs)) == 2
 
     def test_resume_across_versions_rejected(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", seeds=(0,), metrics=("IGD",))
@@ -873,6 +903,25 @@ class TestCli:
         assert cli_main(["report", "ranks", "--runs", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (f"error: {runs} line 2: malformed run row "
                                            f"(unknown metric 'FOO'; known: IGD, GD, HV)\n")
+
+    def test_report_on_non_utf8_runs(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_bytes(",".join(harness.RUN_COLUMNS).encode() + b"\r\n"
+                         b"\xff\xfe,nsga3,0,IGD,0.5,100,1.0\r\n")
+        assert cli_main(["report", "ranks", "--runs", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {runs} is not UTF-8 text (") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("blocker", ["metadata.json", "runs.csv"])
+    def test_run_into_a_dangling_link(self, tmp_path, capsys, blocker):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / blocker).symlink_to(tmp_path / "gone" / "x")
+        rc = cli_main(["run", "--problem", "ZDT1", "--algo", "nsga3", "--seeds", "1",
+                       "--n", "10", "--max-fes", "20", "--out", str(out), "--quiet"])
+        assert rc == 2
+        assert (capsys.readouterr().err
+                == f"error: cannot write {out / blocker}: No such file or directory\n")
 
     @pytest.mark.parametrize("command, blocker", [
         (["summarize", "--base", "nsga3", "--metric", "IGD"], "summary_IGD.csv"),
