@@ -471,19 +471,24 @@ def run_matrix(config: ExperimentConfig, workers: int = 1,
         # read in submission order so the output stays deterministic
         calls = {key: pool.submit(_execute_run, config, *cell).result if pool
                  else partial(_execute_run, config, *cell) for key, cell in tasks.items()}
-        for done, (key, call) in enumerate(calls.items(), start=1):
-            try:
-                record = call()
-            except Exception as exc:  # record and move on
-                record = None
-                failures.append([*key, f"{type(exc).__name__}: {exc}"])
-            else:  # a partly saved cell gets only its missing rows
-                _write(runs_path, [[*key, metric, repr(record.metrics[metric]), record.fes,
-                                    repr(record.wall_ms)] for metric in lacking[key]],
-                       append=True)
-                existing[key] = record
-            if progress is not None:
-                progress(done, len(tasks), record)
+        try:
+            for done, (key, call) in enumerate(calls.items(), start=1):
+                try:
+                    record = call()
+                except Exception as exc:  # record and move on
+                    record = None
+                    failures.append([*key, f"{type(exc).__name__}: {exc}"])
+                else:  # a partly saved cell gets only its missing rows
+                    _write(runs_path, [[*key, metric, repr(record.metrics[metric]), record.fes,
+                                        repr(record.wall_ms)] for metric in lacking[key]],
+                           append=True)
+                    existing[key] = record
+                if progress is not None:
+                    progress(done, len(tasks), record)
+        except BaseException:
+            if pool:  # leaving the block would wait for every pending cell, then drop it
+                pool.shutdown(cancel_futures=True)
+            raise
 
     failures_path = out / FAILURES_FILE
     if failures:

@@ -88,6 +88,45 @@ def tied_instances(seed):
             yield f
 
 
+# every kind of float the rank kernel must order exactly; -0.0 ties 0.0
+SPECIAL_VALUES = np.array([-np.inf, -1e300, -1.0, -1e-300, -5e-324, -0.0, 0.0, 5e-324,
+                           1e-310, 1e-300, 1.0, 1e300, np.inf])
+
+
+def edge_instances():
+    """(name, objective matrix) pairs at the edges of the rank kernel."""
+    rng = np.random.default_rng(11)
+    for n in (255, 256, 257):  # ranks switch from uint8 to uint16 above 256 rows
+        for m in (2, 3):
+            yield f"distinct-{n}x{m}", rng.random((n, m))  # ranks reach n - 1
+            yield f"grid-{n}x{m}", np.round(rng.random((n, m)), 1)
+    for n in (1, 2, 7, 40):  # one objective: a total preorder
+        yield f"grid-{n}x1", np.round(rng.random((n, 1)), 1)
+    for m in (1, 2, 5):
+        yield f"row-1x{m}", rng.random((1, m))
+    f = np.round(rng.random((30, 3)), 1)
+    yield "duplicates-60x3", f[rng.integers(30, size=60)]
+    for n, m in ((3, 2), (40, 2), (60, 3), (257, 4)):
+        yield f"special-{n}x{m}", rng.choice(SPECIAL_VALUES, size=(n, m))
+
+
+EDGE_CASES = dict(edge_instances())
+
+
+def assert_same_fronts(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.intp and np.array_equal(g, w)
+
+
+def assert_cover_prefixes(f, want):
+    """sort_fronts(f, cover) is the shortest prefix of want holding cover rows."""
+    sizes = np.cumsum([w.size for w in want])
+    for cover in range(1, len(f) + 2):
+        k = min(int(np.searchsorted(sizes, cover)) + 1, len(want))
+        assert_same_fronts(sort_fronts(f, cover=cover), want[:k])
+
+
 class TestDominates:
     def test_strict(self):
         assert dominates([1, 1], [2, 2]) is DominanceRelation.FIRST_DOMINATES
@@ -177,6 +216,21 @@ class TestSortFronts:
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w)
 
+    @pytest.mark.parametrize("case", EDGE_CASES)
+    def test_matches_peel_oracle_at_kernel_edges(self, case):
+        f = EDGE_CASES[case]
+        want = peel_oracle(f)
+        assert_same_fronts(sort_fronts(f), want)
+        assert_cover_prefixes(f, want)
+
+    def test_nan_rejected(self):
+        with pytest.raises(UsageError, match="^sort_fronts: objective matrix holds NaN$"):
+            sort_fronts([[0.0, 1.0], [np.nan, 0.0]])
+
+    def test_infinities_and_signed_zeros(self):
+        f = [[np.inf, 0.0], [-0.0, np.inf], [0.0, np.inf], [-np.inf, -np.inf], [np.inf, np.inf]]
+        assert [list(fr) for fr in sort_fronts(f)] == [[3], [0, 1, 2], [4]]
+
 
 class TestDominationMatrix:
     @pytest.mark.parametrize("seed", range(3))
@@ -186,6 +240,10 @@ class TestDominationMatrix:
 
     def test_single_row_and_single_objective(self):
         for f in ([[1.0, 2.0]], [[3.0], [1.0], [1.0]]):
+            assert np.array_equal(domination_matrix(f), domination_matrix_oracle(f))
+
+    def test_matches_oracle_at_kernel_edges(self):
+        for f in EDGE_CASES.values():
             assert np.array_equal(domination_matrix(f), domination_matrix_oracle(f))
 
 

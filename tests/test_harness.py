@@ -522,6 +522,46 @@ class TestRunMatrix:
         assert pools == [2]
         assert len(read_rows(runs)) == 2
 
+    def test_error_cancels_pending_cells(self, tmp_path, monkeypatch):
+        ran, shutdowns = [], []
+
+        class LazyFuture:  # runs its cell only when its result is read
+            def __init__(self, fn, args):
+                self.fn, self.args = fn, args
+
+            def result(self):
+                ran.append(self.args)
+                return self.fn(*self.args)
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return LazyFuture(fn, args)
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                shutdowns.append(cancel_futures)
+
+        def unwritable(path, content, append=False, keep=None):
+            if isinstance(content, list) and content != [harness.RUN_COLUMNS]:  # a cell's rows
+                raise UsageError(f"cannot write {path}: No space left on device")
+            return write(path, content, append, keep)
+
+        write = harness._write
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_write", unwritable)
+        with pytest.raises(UsageError, match="No space left on device"):
+            run_matrix(tiny_config(tmp_path / "out", seeds=(0, 1)), workers=4)
+        assert len(ran) == 1  # the first cell's rows could not be saved
+        assert shutdowns == [True]
+
     def test_progress_callback(self, tmp_path):
         seen = []
         run_matrix(tiny_config(tmp_path / "out", seeds=(0,)),
