@@ -197,18 +197,13 @@ def _front_points(family: str, m: int, count: int) -> np.ndarray:
     elif family in ("ZDT1", "ZDT4"):
         f1 = np.linspace(0.0, 1.0, count)
         front = np.column_stack([f1, 1.0 - np.sqrt(f1)])
-    elif family == "ZDT2":
-        f1 = np.linspace(0.0, 1.0, count)
-        front = np.column_stack([f1, 1.0 - f1 ** 2])
     elif family == "ZDT3":
         f1 = np.linspace(0.0, 1.0, 16 * count)
         f2 = 1.0 - np.sqrt(f1) - f1 * np.sin(10.0 * np.pi * f1)
         front = _subsample(np.column_stack([f1, f2])[_grid_front(f2)], count)
-    elif family == "ZDT6":
-        f1 = np.linspace(_ZDT6_F1_MIN, 1.0, count)
+    else:  # ZDT2 and ZDT6 share f2 = 1 - f1^2; ZDT6's f1 cannot reach 0
+        f1 = np.linspace(_ZDT6_F1_MIN if family == "ZDT6" else 0.0, 1.0, count)
         front = np.column_stack([f1, 1.0 - f1 ** 2])
-    else:
-        raise UnsupportedError(f"no front sampler for {family}")
     front = np.asarray(front, dtype=float)
     front.flags.writeable = False
     return front

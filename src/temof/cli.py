@@ -197,7 +197,7 @@ def _cmd_report_summarize(args) -> int:
 def _cmd_report_ranks(args) -> int:
     records = load_records(args.runs)
     path = write_ranks(records, args.runs)
-    print(path.read_text(), end="")
+    print(path.read_text(encoding="utf-8"), end="")
     return 0
 
 

@@ -183,19 +183,13 @@ class Population:
         return f"Population(n={len(self)}, n_var={self.n_var}, n_obj={self.n_obj})"
 
 
-def concat(*populations: Population) -> Population:
-    """Stack populations; dimensions must agree."""
-    if not populations:
-        raise UsageError("concat needs at least one population")
-    n_var = populations[0].n_var
-    n_obj = populations[0].n_obj
-    for p in populations[1:]:
-        if p.n_var != n_var or p.n_obj != n_obj:
-            raise ConfigurationError(
-                f"cannot concat populations with shapes ({n_var},{n_obj}) and "
-                f"({p.n_var},{p.n_obj})")
-    return Population(np.vstack([p.x for p in populations]),
-                      np.vstack([p.f for p in populations]))
+def concat(a: Population, b: Population) -> Population:
+    """Stack two populations; dimensions must agree."""
+    if (a.n_var, a.n_obj) != (b.n_var, b.n_obj):
+        raise ConfigurationError(
+            f"cannot concat populations with shapes ({a.n_var},{a.n_obj}) and "
+            f"({b.n_var},{b.n_obj})")
+    return Population(np.vstack([a.x, b.x]), np.vstack([a.f, b.f]))
 
 
 def merge_dedupe(a: Population, b: Population, *, n: int) -> Population:

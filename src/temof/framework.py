@@ -97,23 +97,21 @@ class TemofResult:
 
 
 def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
-              *, base_factory=None, variation: VariationParams | None = None,
+              *, base_factory=Nsga3Base, variation: VariationParams = VariationParams(),
               observer=None, disable_archive: bool = False) -> TemofResult:
     """Run the two-stage framework on one problem.
 
-    base_factory(problem, n, rng) builds the base algorithm's selection pair;
-    the default is the reference-point base (Nsga3Base).  variation defaults
-    to VariationParams().  With disable_archive=True the archive is neither
-    maintained nor mated from, which reduces the loop to the plain base
-    algorithm; the gate stream is still advanced every generation so seeds
+    base_factory(problem, n, rng) builds the base algorithm's selection pair.
+    With disable_archive=True the archive is neither maintained nor mated
+    from, which reduces the loop to the plain base algorithm; its gate has
+    p = 0, so the gate stream is still advanced every generation and seeds
     stay comparable.
     """
     key = seed if isinstance(seed, RngKey) else RngKey(int(seed))
-    factory = base_factory if base_factory is not None else Nsga3Base
     population = initialize_population(problem, config.n, key.stream("init"))
     fes = len(population)
-    base = factory(problem, config.n, key.stream("selection"))
-    variation = variation if variation is not None else VariationParams()
+    base = base_factory(problem, config.n, key.stream("selection"))
+    p = 0.0 if disable_archive else config.p
     gate_rng = key.stream("gate")
     var_rng = key.stream("variation")
     archive = population
@@ -122,12 +120,8 @@ def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
     while fes <= config.max_fes:
         generation += 1
         fes_before = fes
-        u = float(gate_rng.random())
-        if disable_archive:
-            source = MatingSource.POPULATION
-        else:
-            source = stage_gate(fes_before, config.max_fes, config.p, u,
-                                config.stage_fraction)
+        source = stage_gate(fes_before, config.max_fes, p, float(gate_rng.random()),
+                            config.stage_fraction)
         parents = archive if source is MatingSource.ARCHIVE else population
         offspring = generate_offspring(parents, config.n, variation, problem, var_rng)
         fes += len(offspring)

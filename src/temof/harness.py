@@ -253,6 +253,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         unknown = set(seeds) - {"master_seed", "n_runs"}
         if unknown:
             raise ConfigurationError(f"unknown seeds keys: {sorted(unknown)}")
+        if "master_seed" in seeds and "master_seed" in raw:
+            raise ConfigurationError(
+                f"master_seed is given twice: {seeds['master_seed']!r} in seeds and "
+                f"{raw['master_seed']!r} at the top level")
         if "n_runs" not in seeds:
             raise ConfigurationError("seeds object needs n_runs")
         n_runs = _coerce(int, seeds["n_runs"], "n_runs", "config key")
@@ -423,10 +427,6 @@ def run_matrix(config: ExperimentConfig, workers: int = 1,
     if workers < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {workers}")
     out = Path(config.output_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # FileExistsError when out is a file
-        raise ConfigurationError(f"cannot create output directory {out}: {exc.strerror}") from None
     meta_path = out / METADATA_FILE
     fingerprint = config.fingerprint()
     if meta_path.exists():

@@ -321,7 +321,7 @@ class Nsga3Base:
 
 
 def nsga3_run(problem: ProblemSpec, n: int, max_fes: int, seed: RngKey | int,
-              variation: VariationParams | None = None) -> tuple[Population, int]:
+              variation: VariationParams = VariationParams()) -> tuple[Population, int]:
     """Plain generational NSGA-III: the framework loop with the archive off.
 
     Initializes n members (n FEs), then repeats offspring generation and

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import pickle
+import subprocess
+import sys
 import warnings
 from concurrent.futures import Future
 from dataclasses import asdict, replace
@@ -125,6 +128,18 @@ class TestConfigValidation:
                                      "label": None}
         assert pickle.loads(pickle.dumps(ProblemSelection("DTLZ2", n_obj=5)))._n_obj == 5
 
+    @pytest.mark.parametrize("change, message", [
+        ({"problems": ()}, "experiment needs at least one problem"),
+        ({"algorithms": ()}, "experiment needs at least one algorithm"),
+        ({"metrics": ()}, "experiment needs at least one metric"),
+        ({"igd_reference_size": 0}, "igd_reference_size must be >= 1")])
+    def test_empty_axis_or_reference_rejected(self, change, message):
+        settings = dict(problems=(ProblemSelection("ZDT1"),), algorithms=(AlgorithmSpec("nsga3"),),
+                        seeds=(0,), n=10, max_fes=100)
+        with pytest.raises(ConfigurationError) as info:
+            ExperimentConfig(**{**settings, **change})
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("samples", [0, -3])
     def test_hv_samples_must_be_positive(self, samples):
         with pytest.raises(ConfigurationError, match="hv_mc_samples"):
@@ -161,6 +176,35 @@ class TestConfigFromDict:
             "problems": ["ZDT1"], "algorithms": ["nsga3"],
             "seeds": {"master_seed": 42, "n_runs": 4}, "n": 10, "max_fes": 100})
         assert cfg.seeds == (0, 1, 2, 3) and cfg.master_seed == 42
+
+    def test_master_seed_given_twice_rejected(self):
+        # the one in seeds used to win silently
+        with pytest.raises(ConfigurationError) as info:
+            config_from_dict({"problems": ["ZDT1"], "algorithms": ["nsga3"],
+                              "seeds": {"n_runs": 2, "master_seed": 5}, "master_seed": 3,
+                              "n": 10, "max_fes": 100})
+        assert str(info.value) == "master_seed is given twice: 5 in seeds and 3 at the top level"
+
+    @pytest.mark.parametrize("change, message", [
+        ({"problems": [5]}, "each problem must be a name or an object, got 5"),
+        ({"algorithms": [["nsga3"]]}, "each algorithm must be a name or an object, got ['nsga3']"),
+        ({"seeds": {"n_runs": 2, "seed": 1}}, "unknown seeds keys: ['seed']"),
+        ({"seeds": {"master_seed": 1}}, "seeds object needs n_runs"),
+        ({"seeds": {"n_runs": 0}}, "n_runs must be >= 1, got 0"),
+        ({"seeds": 3}, "seeds must be a list of ints or {master_seed, n_runs}")])
+    def test_malformed_entry_or_seeds_rejected(self, change, message):
+        raw = {"problems": ["ZDT1"], "algorithms": ["nsga3"], "seeds": [0],
+               "n": 10, "max_fes": 100, **change}
+        with pytest.raises(ConfigurationError) as info:
+            config_from_dict(raw)
+        assert str(info.value) == message
+
+    def test_entry_with_unknown_field_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^bad algorithm entry \{'name': 'nsga3', 'speed': 2\}: .*"
+                                 r"unexpected keyword argument 'speed'$"):
+            config_from_dict({"problems": ["ZDT1"], "algorithms": [{"name": "nsga3", "speed": 2}],
+                              "seeds": [0], "n": 10, "max_fes": 100})
 
     def test_problem_objects(self):
         cfg = config_from_dict({
@@ -292,6 +336,9 @@ class TestConfigFromDict:
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
         with pytest.raises(ConfigurationError, match="JSON"):
+            load_config(bad)
+        bad.write_text("[1, 2]")
+        with pytest.raises(ConfigurationError, match="^config must be a JSON object, got list$"):
             load_config(bad)
 
 
@@ -671,6 +718,10 @@ class TestSummarize:
         with pytest.raises(UsageError, match="metric"):
             summarize(synthetic_records(), "base", "SPREAD")
 
+    def test_no_record_carries_the_metric(self):
+        with pytest.raises(UsageError, match="^no records carry metric 'HV'$"):
+            summarize(synthetic_records(), "base", "HV")
+
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 7.0, float("nan")])
     def test_alpha_checked_with_the_base_alone(self, alpha):
         base_only = [r for r in synthetic_records() if r.algorithm == "base"]
@@ -775,6 +826,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {front} holds no rows\n"
 
+    def test_metric_rejects_non_numeric_csv(self, tmp_path, capsys):
+        front = tmp_path / "front.csv"
+        ref = tmp_path / "ref.csv"
+        front.write_text("f1,f2\n0.5,0.5\n")
+        np.savetxt(ref, [[1.0, 1.0]], delimiter=",")
+        assert cli_main(["metric", "igd", "--front", str(front), "--ref", str(ref)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {front} is not a numeric CSV: ")
+        assert captured.err.count("\n") == 1
+
     def test_metric_missing_file(self, tmp_path, capsys):
         assert cli_main(["metric", "igd", "--front", str(tmp_path / "a.csv"),
                          "--ref", str(tmp_path / "b.csv")]) == 2
@@ -796,7 +858,7 @@ class TestCli:
                 == f"error: cannot read config file {tmp_path}: Is a directory\n")
 
     @pytest.mark.parametrize("blocker, message", [
-        ("out", "cannot create output directory {out}: File exists"),
+        ("out", "cannot write {out}/metadata.json: File exists"),
         ("metadata.json", "cannot read metadata file {out}/metadata.json: Is a directory"),
         ("runs.csv", "cannot read {out}/runs.csv: Is a directory")])
     def test_run_output_path_unusable(self, tmp_path, capsys, blocker, message):
@@ -930,6 +992,35 @@ class TestCli:
                        "--n", "10", "--max-fes", "50", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "error: --seed-list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["summarize", "--base", "nsga3", "--metric", "IGD"],
+                                         ["ranks"]],
+                             ids=["summarize", "ranks"])
+    def test_report_without_runs_file(self, tmp_path, capsys, command):
+        assert cli_main(["report", command[0], "--runs", str(tmp_path), *command[1:]]) == 2
+        assert capsys.readouterr().err == f"error: no runs.csv under {tmp_path}\n"
+
+    def test_report_ranks_reads_utf8_in_an_ascii_locale(self, tmp_path, capsys):
+        # ranks.csv is written as UTF-8 whatever the locale, so it must be read back so
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "problems": [{"name": "ZDT1", "n_var": 6, "label": "ZDT1-\u00e9"}, "ZDT2"],
+            "algorithms": ["nsga3", {"name": "temof-nsga3", "label": "temof-\u00fc"}],
+            "seeds": [0, 1], "n": 10, "max_fes": 20, "metrics": ["IGD"],
+            "igd_reference_size": 50, "output_dir": str(tmp_path / "out")}))
+        assert cli_main(["run", "--config", str(config), "--quiet"]) == 0
+        capsys.readouterr()
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+               "PYTHONIOENCODING": "utf-8",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "temof.cli", "report", "ranks",
+                               "--runs", str(tmp_path / "out")],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        out = proc.stdout.decode("utf-8")
+        assert out == (tmp_path / "out" / "ranks.csv").read_text(encoding="utf-8")
+        assert "IGD,temof-\u00fc," in out
 
     def test_report_on_malformed_runs(self, tmp_path, capsys):
         (tmp_path / "runs.csv").write_text(",".join(harness.RUN_COLUMNS) + "\n"

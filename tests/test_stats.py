@@ -180,6 +180,11 @@ class TestRanksumMark:
         with pytest.raises(UsageError):
             ranksum_mark([], [1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(UsageError, match="rank-sum test requires finite values"):
+            ranksum_mark([1.0, bad], [1.0, 2.0])
+
 
 class TestSignedRank:
     def test_spec_hand_case_all_wins(self):
@@ -257,6 +262,15 @@ class TestSignedRank:
     def test_length_mismatch(self):
         with pytest.raises(UsageError):
             signed_rank([1.0, 2.0], [1.0])
+
+    def test_no_pairs_rejected(self):
+        with pytest.raises(UsageError, match="signed-rank test needs at least one pair"):
+            signed_rank([], [])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+    def test_non_finite_pair_rejected(self, bad):
+        with pytest.raises(UsageError, match="signed-rank test requires finite values"):
+            signed_rank([1.0, 2.0], [bad, 2.0])
 
 
 class TestFriedman:
