@@ -104,36 +104,29 @@ def _zdt_g(x: np.ndarray) -> np.ndarray:
     return 1.0 + 9.0 * x[:, 1:].sum(axis=1) / (x.shape[1] - 1)
 
 
-def _zdt1(x: np.ndarray) -> np.ndarray:
-    g = _zdt_g(x)
-    f1 = x[:, 0]
+# the ZDT shapes (f1, g * h(f1, g)); each front is its shape at g = 1
+def _convex(f1: np.ndarray, g: np.ndarray | float) -> np.ndarray:  # ZDT1 and ZDT4
     return np.column_stack([f1, g * (1.0 - np.sqrt(f1 / g))])
 
 
-def _zdt2(x: np.ndarray) -> np.ndarray:
-    g = _zdt_g(x)
-    f1 = x[:, 0]
+def _concave(f1: np.ndarray, g: np.ndarray | float) -> np.ndarray:  # ZDT2 and ZDT6
     return np.column_stack([f1, g * (1.0 - (f1 / g) ** 2)])
 
 
-def _zdt3(x: np.ndarray) -> np.ndarray:
-    g = _zdt_g(x)
-    f1 = x[:, 0]
-    f2 = g * (1.0 - np.sqrt(f1 / g) - f1 / g * np.sin(10.0 * np.pi * f1))
-    return np.column_stack([f1, f2])
+def _disconnected(f1: np.ndarray, g: np.ndarray | float) -> np.ndarray:  # ZDT3
+    return np.column_stack([f1, g * (1.0 - np.sqrt(f1 / g) - f1 / g * np.sin(10.0 * np.pi * f1))])
 
 
 def _zdt4(x: np.ndarray) -> np.ndarray:
     tail = x[:, 1:]
     g = 1.0 + 10.0 * tail.shape[1] + (tail * tail - 10.0 * np.cos(4.0 * np.pi * tail)).sum(axis=1)
-    f1 = x[:, 0]
-    return np.column_stack([f1, g * (1.0 - np.sqrt(f1 / g))])
+    return _convex(x[:, 0], g)
 
 
 def _zdt6(x: np.ndarray) -> np.ndarray:
     f1 = 1.0 - np.exp(-4.0 * x[:, 0]) * np.sin(6.0 * np.pi * x[:, 0]) ** 6
     g = 1.0 + 9.0 * (x[:, 1:].sum(axis=1) / (x.shape[1] - 1)) ** 0.25
-    return np.column_stack([f1, g * (1.0 - (f1 / g) ** 2)])
+    return _concave(f1, g)
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +174,8 @@ def _front_points(family: str, m: int, count: int) -> np.ndarray:
         front = w / np.linalg.norm(w, axis=1, keepdims=True)
     elif family in ("DTLZ5", "DTLZ6"):
         theta = np.linspace(0.0, np.pi / 2.0, count)
-        if m == 2:
-            front = np.column_stack([np.cos(theta), np.sin(theta)])
-        else:
-            c = np.cos(np.pi / 4.0)
-            front = np.column_stack([np.cos(theta) * c, np.cos(theta) * c, np.sin(theta)])
+        head = np.cos(theta) * np.cos(np.pi / 4.0) ** (m - 2)
+        front = np.column_stack([head] * (m - 1) + [np.sin(theta)])
     elif family == "DTLZ7":
         # a 12x oversampled grid holds at least count front points (checked up to 20 000)
         side = 12 * count if m == 2 else math.ceil(math.sqrt(12 * count))
@@ -195,15 +185,12 @@ def _front_points(family: str, m: int, count: int) -> np.ndarray:
         keep = _grid_front(h.reshape(axes[0].shape)).ravel()
         front = _subsample(np.column_stack([grid, h])[keep], count)
     elif family in ("ZDT1", "ZDT4"):
-        f1 = np.linspace(0.0, 1.0, count)
-        front = np.column_stack([f1, 1.0 - np.sqrt(f1)])
+        front = _convex(np.linspace(0.0, 1.0, count), 1.0)
     elif family == "ZDT3":
-        f1 = np.linspace(0.0, 1.0, 16 * count)
-        f2 = 1.0 - np.sqrt(f1) - f1 * np.sin(10.0 * np.pi * f1)
-        front = _subsample(np.column_stack([f1, f2])[_grid_front(f2)], count)
-    else:  # ZDT2 and ZDT6 share f2 = 1 - f1^2; ZDT6's f1 cannot reach 0
-        f1 = np.linspace(_ZDT6_F1_MIN if family == "ZDT6" else 0.0, 1.0, count)
-        front = np.column_stack([f1, 1.0 - f1 ** 2])
+        points = _disconnected(np.linspace(0.0, 1.0, 16 * count), 1.0)
+        front = _subsample(points[_grid_front(points[:, 1])], count)
+    else:  # ZDT6's f1 cannot reach 0
+        front = _concave(np.linspace(_ZDT6_F1_MIN if family == "ZDT6" else 0.0, 1.0, count), 1.0)
     front = np.asarray(front, dtype=float)
     front.flags.writeable = False
     return front
@@ -217,7 +204,9 @@ def _front_points(family: str, m: int, count: int) -> np.ndarray:
 _DTLZ = {"DTLZ1": (_dtlz1, 5), "DTLZ2": (_dtlz2, 10), "DTLZ3": (_dtlz3, 10),
          "DTLZ4": (_dtlz4, 10), "DTLZ5": (_dtlz5, 10), "DTLZ6": (_dtlz6, 10),
          "DTLZ7": (_dtlz7, 20)}
-_ZDT = {"ZDT1": (_zdt1, 30), "ZDT2": (_zdt2, 30), "ZDT3": (_zdt3, 30),  # (evaluator, n_var)
+_ZDT = {"ZDT1": (lambda x: _convex(x[:, 0], _zdt_g(x)), 30),  # (evaluator, n_var)
+        "ZDT2": (lambda x: _concave(x[:, 0], _zdt_g(x)), 30),
+        "ZDT3": (lambda x: _disconnected(x[:, 0], _zdt_g(x)), 30),
         "ZDT4": (_zdt4, 10), "ZDT6": (_zdt6, 10)}
 
 

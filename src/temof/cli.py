@@ -220,6 +220,9 @@ def _cmd_metric(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # labels print in UTF-8, the encoding of every results file, whatever the locale
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -135,18 +135,13 @@ class ExperimentConfig:
     output_dir: str = "results"
 
     def __post_init__(self) -> None:
-        if not self.problems:
-            raise ConfigurationError("experiment needs at least one problem")
-        if not self.algorithms:
-            raise ConfigurationError("experiment needs at least one algorithm")
-        if not self.seeds:
-            raise ConfigurationError("experiment needs at least one seed")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigurationError("seeds must be unique")
-        for what, entries in (("problem", self.problems), ("algorithm", self.algorithms)):
-            labels = [entry.key for entry in entries]
-            if len(set(labels)) != len(labels):
-                raise ConfigurationError(f"{what} labels are not unique: {labels}")
+        for what, values in (("problem", [entry.key for entry in self.problems]),
+                             ("algorithm", [entry.key for entry in self.algorithms]),
+                             ("seed", list(self.seeds)), ("metric", list(self.metrics))):
+            if not values:
+                raise ConfigurationError(f"experiment needs at least one {what}")
+            if len(set(values)) != len(values):
+                raise ConfigurationError(f"{what}s must be unique, got {values}")
         for problem in self.problems:  # the reference directions need n >= n_obj >= 2
             if self.n < problem._n_obj:
                 raise ConfigurationError(
@@ -158,10 +153,6 @@ class ExperimentConfig:
             if metric not in KNOWN_METRICS:
                 raise ConfigurationError(
                     f"unknown metric {metric!r}; known: {', '.join(KNOWN_METRICS)}")
-        if not self.metrics:
-            raise ConfigurationError("experiment needs at least one metric")
-        if len(set(self.metrics)) != len(self.metrics):
-            raise ConfigurationError(f"metrics must be unique, got {list(self.metrics)}")
         if self.indicator_target not in ("population", "archive"):
             raise ConfigurationError(
                 f"indicator_target must be 'population' or 'archive', "
@@ -402,7 +393,7 @@ def _read_runs(path: Path) -> tuple[dict[tuple[str, str, int], RunRecord], int, 
     """
     try:
         data = path.read_bytes()
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):  # no file, or no directory to hold it
         data = b""
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc.strerror}") from None
@@ -429,7 +420,8 @@ def run_matrix(config: ExperimentConfig, workers: int = 1,
     out = Path(config.output_dir)
     meta_path = out / METADATA_FILE
     fingerprint = config.fingerprint()
-    if meta_path.exists():
+    known = meta_path.exists()
+    if known:
         meta = _read_json(meta_path, "metadata file")
         if not isinstance(meta, dict):
             raise ConfigurationError(
@@ -443,14 +435,18 @@ def run_matrix(config: ExperimentConfig, workers: int = 1,
             raise ConfigurationError(
                 f"{out} holds results of temof {meta.get('package_version')!r}, "
                 f"not of this version {__version__!r}; choose another output_dir")
-    else:
+    runs_path = out / RUNS_FILE
+    existing, size, tail = _read_runs(runs_path)
+    if not known:
+        if existing:  # runs of an unknown configuration must not be adopted
+            raise ConfigurationError(
+                f"{runs_path} holds runs but {meta_path} is missing, so their "
+                f"configuration is unknown; choose another output_dir")
         meta = {"fingerprint": fingerprint, "config": asdict(config),
                 "package_version": __version__,
                 "created": datetime.now(timezone.utc).isoformat()}
         _write(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
-    runs_path = out / RUNS_FILE
-    existing, size, tail = _read_runs(runs_path)
     cells = {(problem.key, algorithm.key, seed): (problem, algorithm, seed)
              for problem in config.problems for algorithm in config.algorithms
              for seed in config.seeds}

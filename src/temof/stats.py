@@ -172,10 +172,8 @@ def _signed_rank_exact_p(ranks: np.ndarray, r_plus: float) -> float:
     total = int(doubled.sum())
     counts = np.zeros(total + 1, dtype=np.float64)
     counts[0] = 1.0
-    for r in doubled:
-        shifted = np.zeros_like(counts)
-        shifted[r:] = counts[:-r] if r > 0 else counts
-        counts += shifted
+    for r in doubled:  # every midrank is at least 1, so r >= 2
+        counts[r:] += counts[:-r]  # numpy buffers the overlapping operands
     t2 = int(round(2.0 * r_plus))
     t_low, t_high = min(t2, total - t2), max(t2, total - t2)
     p = (counts[: t_low + 1].sum() + counts[t_high:].sum()) / (2.0 ** len(doubled))

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -40,14 +41,16 @@ def read_rows(path):
 
 class TestConfigValidation:
     def test_duplicate_algorithm_labels(self):
-        with pytest.raises(ConfigurationError, match="algorithm labels are not unique"):
+        with pytest.raises(ConfigurationError,
+                           match=r"^algorithms must be unique, got \['nsga3', 'nsga3'\]$"):
             ExperimentConfig(problems=(ProblemSelection("ZDT1"),),
                              algorithms=(AlgorithmSpec("nsga3"),
                                          AlgorithmSpec("nsga3")),
                              seeds=(0,), n=10, max_fes=100)
 
     def test_duplicate_problem_labels(self):
-        with pytest.raises(ConfigurationError, match="problem labels are not unique"):
+        with pytest.raises(ConfigurationError,
+                           match=r"^problems must be unique, got \['ZDT1', 'ZDT1'\]$"):
             ExperimentConfig(problems=(ProblemSelection("ZDT1"),
                                        ProblemSelection("ZDT2", label="ZDT1")),
                              algorithms=(AlgorithmSpec("nsga3"),),
@@ -457,6 +460,30 @@ class TestRunMatrix:
         assert runs.read_bytes().startswith(",".join(harness.RUN_COLUMNS).encode() + b"\r\n")
         assert len(read_rows(runs)) == 2
 
+    def test_runs_without_metadata_rejected(self, tmp_path):
+        # rows of an unknown configuration must not be adopted by the next one
+        run_matrix(tiny_config(tmp_path / "out", seeds=(0,), metrics=("IGD",)))
+        meta_path, runs = tmp_path / "out" / "metadata.json", tmp_path / "out" / "runs.csv"
+        meta_path.unlink()
+        before = runs.read_bytes()
+        other = replace(tiny_config(tmp_path / "out", seeds=(0,), metrics=("IGD",)), max_fes=480)
+        for _ in range(2):  # nothing is written, so a second attempt fails too
+            with pytest.raises(ConfigurationError) as info:
+                run_matrix(other)
+            assert str(info.value) == (f"{runs} holds runs but {meta_path} is missing, so "
+                                       f"their configuration is unknown; choose another "
+                                       f"output_dir")
+            assert not meta_path.exists()
+            assert runs.read_bytes() == before
+
+    def test_header_only_runs_file_without_metadata_proceeds(self, tmp_path):
+        cfg = tiny_config(tmp_path / "out", seeds=(0,), metrics=("IGD",))
+        (tmp_path / "out").mkdir()
+        runs = tmp_path / "out" / "runs.csv"
+        runs.write_text(",".join(harness.RUN_COLUMNS) + "\r\n")
+        assert len(run_matrix(cfg)) == 2
+        assert len(read_rows(runs)) == 2
+
     def test_resume_across_versions_rejected(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", seeds=(0,), metrics=("IGD",))
         run_matrix(cfg)
@@ -781,6 +808,17 @@ class TestCli:
         assert cli_main(["metric", "hv", "--front", str(front), "--ref", str(ref)]) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.3125)
 
+    def test_metric_hv_monte_carlo_names_its_samples(self, tmp_path, capsys):
+        front = tmp_path / "front.csv"
+        ref = tmp_path / "ref.csv"
+        np.savetxt(front, [[0.2, 0.5, 0.5, 0.5], [0.5, 0.2, 0.5, 0.5]], delimiter=",")
+        np.savetxt(ref, [[1.0, 1.0, 1.0, 1.0]], delimiter=",")
+        assert cli_main(["metric", "hv", "--front", str(front), "--ref", str(ref),
+                         "--mode", "monte_carlo", "--samples", "2000"]) == 0
+        captured = capsys.readouterr()
+        assert 0.0 < float(captured.out.strip()) < 1.0
+        assert captured.err == "mode=monte_carlo samples=2000\n"
+
     def test_metric_hv_one_objective(self, tmp_path, capsys):
         front = tmp_path / "front.csv"
         ref = tmp_path / "ref.csv"
@@ -891,6 +929,33 @@ class TestCli:
 
         assert cli_main(["report", "ranks", "--runs", str(out)]) == 0
         assert "metric,algorithm,mean_rank" in capsys.readouterr().out
+
+    def test_run_prints_one_line_per_cell(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        assert cli_main(["run", "--problem", "ZDT1", "--algo", "nsga3", "--seeds", "2",
+                         "--n", "10", "--max-fes", "20", "--metrics", "IGD", "HV",
+                         "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"2/2 runs complete in {out}"
+        for i, line in enumerate(lines[:-1]):
+            assert re.fullmatch(rf"\[{i + 1}/2\] ZDT1 nsga3 seed={i} "
+                                r"HV=\d\.\d{4}e[+-]\d\d IGD=\d\.\d{4}e[+-]\d\d \(\d+ ms\)",
+                                line), line
+        assert len(lines) == 3
+
+    def test_run_prints_failed_cells(self, tmp_path, capsys, monkeypatch):
+        def broken_sampler(self, count):
+            raise RuntimeError("sampler fault")
+
+        monkeypatch.setattr(ProblemSpec, "true_front", broken_sampler)
+        out = tmp_path / "exp"
+        assert cli_main(["run", "--problem", "ZDT1", "--algo", "nsga3", "--seeds", "2",
+                         "--n", "10", "--max-fes", "20", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ("[1/2] failed (see failures.csv)\n"
+                                "[2/2] failed (see failures.csv)\n"
+                                f"0/2 runs complete in {out}\n")
+        assert captured.err == f"some runs failed; see {out / 'failures.csv'}\n"
 
     def test_run_with_config_file(self, tmp_path, capsys):
         cfg = {"problems": ["ZDT1"], "algorithms": ["nsga3"], "seeds": [0],
@@ -1019,6 +1084,34 @@ class TestCli:
                               env=env, capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
         out = proc.stdout.decode("utf-8")
+        assert out == (tmp_path / "out" / "ranks.csv").read_text(encoding="utf-8")
+        assert "IGD,temof-\u00fc," in out
+
+    def test_cli_prints_utf8_in_an_ascii_locale(self, tmp_path):
+        # stdout is UTF-8, as every results file is, whatever the locale's encoding
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "problems": [{"name": "ZDT1", "n_var": 6, "label": "ZDT1-\u00e9"}, "ZDT2"],
+            "algorithms": ["nsga3", {"name": "temof-nsga3", "label": "temof-\u00fc"}],
+            "seeds": [0, 1], "n": 10, "max_fes": 20, "metrics": ["IGD"],
+            "igd_reference_size": 50, "output_dir": str(tmp_path / "out")}))
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONIOENCODING", None)
+
+        def temof(*args):
+            proc = subprocess.run([sys.executable, "-m", "temof.cli", *args],
+                                  env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+            return proc.stdout.decode("utf-8")
+
+        out = temof("run", "--config", str(config))
+        assert "[1/8] ZDT1-\u00e9 nsga3 seed=0 IGD=" in out
+        assert "[8/8] ZDT2 temof-\u00fc seed=1 IGD=" in out
+        assert "| ZDT1-\u00e9 |" in temof("report", "summarize", "--runs", str(tmp_path / "out"),
+                                         "--base", "nsga3", "--metric", "IGD")
+        out = temof("report", "ranks", "--runs", str(tmp_path / "out"))
         assert out == (tmp_path / "out" / "ranks.csv").read_text(encoding="utf-8")
         assert "IGD,temof-\u00fc," in out
 
