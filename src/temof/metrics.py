@@ -14,6 +14,9 @@ from .core import UsageError, rng_stream
 
 MC_DEFAULT_SAMPLES = 1_000_000
 _MC_CHUNK_BYTES = 8 * 2**20  # working memory of one Monte Carlo chunk
+_MC_TABLE_BYTES = 8 * 2**20  # cap on the Monte Carlo lookup tables
+_MC_BUCKETS = 4096  # lookup-table buckets per objective, at most
+_MC_GRID = 2**53  # Generator.random draws multiples of 1 / _MC_GRID
 _DISTANCE_BLOCK = 2**15  # entries of one distance plane (256 KiB), so it stays in cache
 
 
@@ -120,31 +123,109 @@ def _hv_exact(points: np.ndarray, ref: np.ndarray) -> float:
     return volume
 
 
+def _mc_thresholds(points: np.ndarray, lo: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Each coordinate p as the least t in [0, 2**53] whose sample
+    ``lo + scale * (t * 2**-53)`` reaches p; t = 2**53 means no draw does.
+
+    `Generator.uniform(lo, ref)` is ``lo + (ref - lo) * u`` for a draw u of
+    `Generator.random`, a multiple of 2**-53 in [0, 1), and the sample is
+    non-decreasing in u; so a sample reaches p exactly when u >= t * 2**-53.
+    Found by bisection over the 2**53 + 1 candidates, all coordinates at once.
+    """
+    low = np.zeros(points.shape, dtype=np.int64)
+    high = np.full(points.shape, _MC_GRID, dtype=np.int64)
+    for _ in range(54):  # ceil(log2(2**53 + 1)) halvings leave one candidate
+        mid = (low + high) >> 1
+        reach = (lo + scale * (mid / _MC_GRID) >= points) | (mid == _MC_GRID)
+        high = np.where(reach, mid, high)
+        low = np.where(reach, low, mid + 1)
+    return low
+
+
+def _mc_table(thresholds: np.ndarray, buckets: int) -> np.ndarray:
+    """Per objective and bucket of draws, the masks of the points covered.
+
+    Bucket b of an objective holds the draws u with floor(u * buckets) == b.
+    A mask is w = ceil(n / 64) uint64 words, bit i for point i.  Row
+    `[d, b]` holds two: in words [0, w) the points that every draw in the
+    bucket reaches in objective d, in words [w, 2w) those that some draw in
+    it reaches.  Each is a prefix OR over the buckets of the bits set at the
+    first bucket that qualifies.
+    """
+    n, m = thresholds.shape
+    words = -(-n // 64)
+    width = _MC_GRID // buckets
+    point = np.arange(n)
+    bit = np.left_shift(np.uint64(1), (point % 64).astype(np.uint64))[:, None]
+    table = np.zeros((m, buckets + 1, 2 * words), dtype=np.uint64)
+    # a threshold on a bucket's first draw makes that bucket full; t = 2**53
+    # lands in the spare last row, which no draw indexes
+    for first, word in ((-(-thresholds // width), point // 64),
+                        (thresholds // width, words + point // 64)):
+        np.bitwise_or.at(table, (np.arange(m), first, word[:, None]), bit)
+    np.bitwise_or.accumulate(table, axis=1, out=table)
+    return table[:, :buckets]
+
+
+def _any_word(masks: np.ndarray) -> np.ndarray:
+    """Rows of a (k x w) mask array with a bit set; `any(axis=1)` is slow on short rows."""
+    found = masks[:, 0] != 0
+    for w in range(1, masks.shape[1]):
+        found |= masks[:, w] != 0
+    return found
+
+
 def _hv_monte_carlo(points: np.ndarray, ref: np.ndarray, samples: int,
                     rng: np.random.Generator) -> float:
     lo = points.min(axis=0)
-    box = np.prod(ref - lo)
+    scale = ref - lo
+    box = float(np.prod(scale))
     n, m = points.shape
-    # a sample costs its m float64 draws, their transposed copy, and one
-    # entry in each of two n x k boolean planes (the running cover and one
-    # comparison); the generator fills in order, so the chunk size never
-    # changes the value.  Do not shrink the cap: a plane row is one point's
-    # k samples, and short rows make every ufunc loop short again.
-    rows = max(1, _MC_CHUNK_BYTES // (16 * m + 2 * n))
+    thresholds = _mc_thresholds(points, lo, scale)
+    words = -(-n // 64)
+    buckets = _MC_BUCKETS
+    while buckets > 1 and 16 * m * (buckets + 1) * words > _MC_TABLE_BYTES:
+        buckets //= 2
+    table = _mc_table(thresholds, buckets)
+    limit = thresholds / _MC_GRID  # exact: a sample reaches p when u >= limit
+    # a sample costs its m draws and m bucket indices, two rows of 2w mask
+    # words (a fold and its operand), and at worst a position, a copy of its
+    # draws and one entry in each of two n x k boolean planes of the exact
+    # comparison; the generator fills in order, so the chunk size never
+    # changes the value, and the buffers serve every chunk
+    rows = min(samples, max(1, _MC_CHUNK_BYTES // (24 * m + 32 * words + 2 * n + 16)))
+    draw = np.empty((rows, m))
+    index = np.empty((m, rows), dtype=np.intp)
+    fold = np.empty((rows, 2 * words), dtype=np.uint64)
+    operand = np.empty_like(fold)
     hits = 0
     remaining = samples
     while remaining > 0:
         k = min(rows, remaining)
-        draw = np.ascontiguousarray(rng.uniform(lo, ref, size=(k, m)).T)
-        # one row per point with the samples contiguous along it, so each
-        # comparison, the in-place fold and the final reduce over points run
-        # k-long inner loops instead of n-long ones
-        covered = draw[0] >= points[:, 0, None]
+        u = draw[:k]
+        rng.random(out=u)
+        idx = index[:, :k]
+        np.multiply(u.T, buckets, out=idx, casting="unsafe")  # exact, then floored
+        acc, tmp = fold[:k], operand[:k]
+        table[0].take(idx[0], axis=0, out=acc)
         for d in range(1, m):
-            covered &= draw[d] >= points[:, d, None]
-        hits += int(np.logical_or.reduce(covered, axis=0).sum())
+            table[d].take(idx[d], axis=0, out=tmp)
+            acc &= tmp
+        covered = _any_word(acc[:, :words])
+        hits += int(np.count_nonzero(covered))
+        # the exact comparison decides a sample that no point fully covers
+        # but that every objective's bucket lets some point reach
+        near = np.flatnonzero(_any_word(acc[:, words:]) & ~covered)
+        if near.size:
+            draws = u[near].T
+            hit = draws[0] >= limit[:, 0, None]
+            for d in range(1, m):
+                hit &= draws[d] >= limit[:, d, None]
+            hits += int(np.count_nonzero(hit.any(axis=0)))
         remaining -= k
-    return box * hits / samples
+    value = box * hits / samples
+    # box * hits can pass the float range when the HV itself does not
+    return value if np.isfinite(value) else box * (hits / samples)
 
 
 def hv(solution: np.ndarray, ref_point: np.ndarray, *, mode: str = "auto",
@@ -153,7 +234,9 @@ def hv(solution: np.ndarray, ref_point: np.ndarray, *, mode: str = "auto",
     """Hypervolume dominated by the solution set relative to a reference point.
 
     Only points strictly below the reference point in every objective
-    contribute; a NaN or infinite coordinate is an error.  mode "auto"
+    contribute; a NaN or infinite coordinate is an error, and so is a box
+    from their ideal point to the reference point whose volume, or that of
+    a face, passes the float range.  mode "auto"
     computes exactly for <= 3 objectives and falls back to Monte Carlo above;
     "exact" and "monte_carlo" force a method.  The Monte Carlo path uses the
     supplied generator or a fixed default stream, so repeated calls agree.
@@ -181,6 +264,16 @@ def hv(solution: np.ndarray, ref_point: np.ndarray, *, mode: str = "auto",
     if pts.shape[0] == 0:
         return IndicatorResult("HV", 0.0, mode=mode,
                                samples=samples if mode == "monte_carlo" else None)
+    # the sweep's partial volumes, the sampling box and the sides the Monte
+    # Carlo thresholds scale by must be finite, or an overflow would be
+    # reported as an infinite HV
+    lo = pts.min(axis=0)
+    with np.errstate(over="ignore"):
+        volumes = np.cumprod(ref - lo)
+    if not np.isfinite(volumes).all():
+        raise UsageError(
+            f"hv: the box from {lo.tolist()} to the reference point {ref.tolist()} "
+            f"has a volume beyond the float range")
     if mode == "exact":
         return IndicatorResult("HV", float(_hv_exact(pts, ref)))
     if rng is None:

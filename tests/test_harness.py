@@ -819,6 +819,16 @@ class TestCli:
         assert 0.0 < float(captured.out.strip()) < 1.0
         assert captured.err == "mode=monte_carlo samples=2000\n"
 
+    def test_metric_hv_rejects_overflowing_box(self, tmp_path, capsys):
+        front = tmp_path / "front.csv"
+        ref = tmp_path / "ref.csv"
+        np.savetxt(front, [[-1e308] * 4], delimiter=",")
+        np.savetxt(ref, [[1e308] * 4], delimiter=",")
+        assert cli_main(["metric", "hv", "--front", str(front), "--ref", str(ref)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: hv: the box from [-1e+308, ")
+
     def test_metric_hv_one_objective(self, tmp_path, capsys):
         front = tmp_path / "front.csv"
         ref = tmp_path / "ref.csv"

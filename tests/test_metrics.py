@@ -36,20 +36,58 @@ def hv_monte_carlo_oracle(points, ref, samples, rng, rows=4096):
     return box * hits / samples
 
 
-class LatticeGenerator:
-    """Stands in for a Generator: `uniform` ignores its bounds and returns
-    values from `levels` in a fixed cyclic sequence, one flat position after
-    another, so the values drawn never depend on how the caller chunks its
-    requests."""
+def hv_monte_carlo_point_major(points, ref, samples, rng):
+    """_hv_monte_carlo before its lookup tables: point-major coverage planes."""
+    lo = points.min(axis=0)
+    box = np.prod(ref - lo)
+    n, m = points.shape
+    rows = max(1, metrics._MC_CHUNK_BYTES // (16 * m + 2 * n))
+    hits = 0
+    remaining = samples
+    while remaining > 0:
+        k = min(rows, remaining)
+        draw = np.ascontiguousarray(rng.uniform(lo, ref, size=(k, m)).T)
+        covered = draw[0] >= points[:, 0, None]
+        for d in range(1, m):
+            covered &= draw[d] >= points[:, d, None]
+        hits += int(np.logical_or.reduce(covered, axis=0).sum())
+        remaining -= k
+    return box * hits / samples
 
-    def __init__(self, levels, period=1009):
-        self.sequence = np.random.default_rng(0).choice(levels, size=period)
+
+def least_draw(level, low, high):
+    """The least multiple u of 2**-53 in [0, 1] with low + (high - low) * u >= level."""
+    j = max(0, int((level - low) / (high - low) * 2**53) - 8)
+    assert j == 0 or low + (high - low) * (j / 2**53) < level  # started below
+    while j < 2**53 and low + (high - low) * (j / 2**53) < level:
+        j += 1
+    return j / 2**53
+
+
+class LatticeGenerator:
+    """Stands in for a Generator whose samples in the box [low, high) land
+    on `levels`: `random` returns, one flat position after another, values
+    from a fixed cyclic sequence of draws, each the least that reaches its
+    level, so the values drawn never depend on how the caller chunks its
+    requests; `uniform` maps `random` onto its bounds as a Generator does."""
+
+    def __init__(self, levels, low, high, period=1009):
+        draws = [least_draw(level, low, high) for level in levels]
+        self.sequence = np.random.default_rng(0).choice(draws, size=period)
         self.drawn = 0
 
-    def uniform(self, low, high, size):
-        pos = self.drawn + np.arange(np.prod(size))
+    def random(self, size=None, out=None):
+        shape = out.shape if out is not None else size
+        pos = self.drawn + np.arange(np.prod(shape, dtype=int))
         self.drawn += pos.size
-        return self.sequence[pos % self.sequence.size].reshape(size)
+        values = self.sequence[pos % self.sequence.size].reshape(shape)
+        if out is None:
+            return values
+        out[...] = values
+        return out
+
+    def uniform(self, low, high, size):
+        return low + (high - low) * self.random(size)
 
 
 class TestIgdGd:
@@ -262,13 +300,45 @@ class TestHvMonteCarlo:
         pts = np.random.default_rng(17).choice(levels[1:4], size=(12, 4))
         pts = np.concatenate([pts, pts[:4]])
         ref = np.ones(4)
+        assert (pts.min(axis=0) == 0.25).all()  # the sampling box is [0.25, 1)^4
+        for level in levels[1:4]:
+            assert 0.25 + 0.75 * least_draw(level, 0.25, 1.0) == level
         for budget in (997, 100_003, metrics._MC_CHUNK_BYTES):
             monkeypatch.setattr(metrics, "_MC_CHUNK_BYTES", budget)
-            rng, oracle_rng = LatticeGenerator(levels), LatticeGenerator(levels)
+            rng = LatticeGenerator(levels, 0.25, 1.0)
+            oracle_rng = LatticeGenerator(levels, 0.25, 1.0)
             value = metrics._hv_monte_carlo(pts, ref, samples, rng)
             assert value == hv_monte_carlo_oracle(pts, ref, samples, oracle_rng)
             assert rng.drawn == oracle_rng.drawn == samples * 4
             assert 0 < value < np.prod(ref - pts.min(axis=0))  # some samples miss
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 300])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
+    def test_matches_point_major_kernel(self, monkeypatch, n, m):
+        # n at the 64-bit boundaries of a mask word; rounded coordinates
+        # share thresholds, and the small table budget leaves few buckets
+        pts = np.round(np.random.default_rng(n + 10 * m).random((n, m)), 2)
+        ref = np.full(m, 1.05)
+        for chunk, table in ((997, metrics._MC_TABLE_BYTES), (100_003, 2**14),
+                             (metrics._MC_CHUNK_BYTES, metrics._MC_TABLE_BYTES)):
+            monkeypatch.setattr(metrics, "_MC_CHUNK_BYTES", chunk)
+            monkeypatch.setattr(metrics, "_MC_TABLE_BYTES", table)
+            rng, oracle_rng = np.random.default_rng(m), np.random.default_rng(m)
+            value = metrics._hv_monte_carlo(pts, ref, 3001, rng)
+            assert value == hv_monte_carlo_point_major(pts, ref, 3001, oracle_rng)
+            assert rng.random() == oracle_rng.random()  # the same draws were made
+
+    def test_coordinate_no_draw_reaches_matches_oracle(self):
+        # ref - lo rounds to 1, so lo + (ref - lo) * u stays below 0 for every
+        # draw, and even u = 1 would give 0 < 2**-61 < ref
+        pts = np.array([[-1.0, 0.5], [2.0**-61, 0.25], [-0.5, 0.75]])
+        ref = np.array([2.0**-60, 1.0])
+        lo = pts.min(axis=0)
+        assert metrics._mc_thresholds(pts, lo, ref - lo)[1, 0] == 2**53
+        rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+        value = metrics._hv_monte_carlo(pts, ref, 20_000, rng)
+        assert value == hv_monte_carlo_oracle(pts, ref, 20_000, oracle_rng)
+        assert rng.random() == oracle_rng.random()
 
     # values recorded with the sample-major coverage planes (k samples x n
     # points) that came before the point-major ones; the draws, their order and
@@ -290,6 +360,86 @@ class TestHvMonteCarlo:
         pts = [[0.25, 0.75], [0.75, 0.25]]
         mc = hv(pts, [1.0, 1.0], mode="monte_carlo", samples=300_000).value
         assert abs(mc - 0.3125) / 0.3125 < 0.02
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64, np.random.PCG64DXSM]
+
+
+class TestMonteCarloThresholds:
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_uniform_is_the_affine_map_of_random(self, bit_generator):
+        # the kernel draws with `random` and relies on this identity
+        lo = np.array([-3.0, 0.0, 1e-9, 0.1, -1e6])
+        ref = np.array([-1.0, 1.0, 0.3, 1.1, 7e5])
+        a, b = np.random.Generator(bit_generator(9)), np.random.Generator(bit_generator(9))
+        drawn = a.uniform(lo, ref, size=(20_000, 5))
+        u = b.random((20_000, 5))
+        assert (drawn == lo + (ref - lo) * u).all()
+        assert (u * 2.0**53 == np.floor(u * 2.0**53)).all()  # multiples of 2**-53
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("scale", [1.0, 0.3, 1.7, 1e-7, 3e8])
+    def test_threshold_is_the_least_reaching_draw(self, scale):
+        g = np.random.default_rng(int(scale * 1e3))
+        pts = g.random((200, 4)) * scale - scale / 3
+        pts[:20] = np.round(pts[:20], 1)
+        ref = np.full(4, scale)
+        pts = pts[(pts < ref).all(axis=1)]
+        lo = pts.min(axis=0)
+        t = metrics._mc_thresholds(pts, lo, ref - lo)
+        assert ((t >= 0) & (t <= 2**53)).all() and (t == 0).any(axis=0).all()
+
+        def sample(j):
+            return lo + (ref - lo) * (j / 2**53)
+
+        assert np.where(t < 2**53, sample(t) >= pts, True).all()
+        assert np.where(t > 0, sample(t - 1) < pts, True).all()
+
+    def test_threshold_of_the_ideal_point_is_zero(self):
+        pts = np.array([[0.5, 0.2, 0.9], [0.3, 0.6, 0.4]])
+        lo = pts.min(axis=0)
+        t = metrics._mc_thresholds(pts, lo, 1.0 - lo)
+        assert ((t == 0) == (pts == lo)).all()
+
+    def test_thresholds_on_bucket_starts(self):
+        # with lo = 0 and ref = 1 a sample is its draw, so a coordinate at a
+        # bucket's first draw has that draw as its threshold
+        width = 2**53 // metrics._MC_BUCKETS
+        starts = np.array([0, 1, 7, 2048, 4095]) * width
+        pts = np.stack([starts / 2**53, starts[::-1] / 2**53], axis=1)
+        t = metrics._mc_thresholds(pts, pts.min(axis=0), 1.0 - pts.min(axis=0))
+        assert t[:, 0].tolist() == starts.tolist()
+        assert t[:, 1].tolist() == starts[::-1].tolist()
+        rng, oracle_rng = np.random.default_rng(2), np.random.default_rng(2)
+        value = metrics._hv_monte_carlo(pts, np.ones(2), 20_000, rng)
+        assert value == hv_monte_carlo_oracle(pts, np.ones(2), 20_000, oracle_rng)
+        assert rng.random() == oracle_rng.random()
+
+    def test_thresholds_at_the_ends_of_the_grid(self):
+        width = 2**53 // metrics._MC_BUCKETS
+        j = np.array([0, 1, 2, 3, width - 1, width + 1, 2**53 - 2, 2**53 - 1])
+        pts = np.stack([j / 2**53, j[::-1] / 2**53], axis=1)
+        t = metrics._mc_thresholds(pts, np.zeros(2), np.ones(2))
+        assert t[:, 0].tolist() == j.tolist() and t[:, 1].tolist() == j[::-1].tolist()
+
+    @pytest.mark.parametrize("buckets", [1, 2, 64, 4096])
+    def test_table_holds_full_and_reaching_points(self, buckets):
+        width = 2**53 // buckets
+        g = np.random.default_rng(buckets)
+        t = g.integers(0, 2**53, size=(130, 3))
+        t[:10] = g.integers(0, buckets, size=(10, 3)) * width  # on bucket starts
+        t[10:14] = 0
+        t[14:18] = 2**53  # no draw reaches
+        table = metrics._mc_table(t, buckets)
+        assert table.shape == (3, buckets, 6) and table.dtype == np.uint64
+        bits = np.unpackbits(table.view(np.uint8), axis=-1, bitorder="little")
+        full, reach = bits[..., :130], bits[..., 192:192 + 130]
+        assert not bits[..., 130:192].any() and not bits[..., 192 + 130:].any()
+        start = np.arange(buckets)[None, :, None] * width
+        tt = t.T[:, None, :]
+        assert (full == (tt <= start)).all()
+        assert (reach == (tt < start + width)).all()
 
 
 class TestHvValidation:
@@ -322,6 +472,26 @@ class TestHvValidation:
     def test_non_finite_reference_rejected(self, bad):
         with pytest.raises(UsageError, match="^hv: reference point holds NaN or infinity"):
             hv([[0.5, 0.5]], [1.0, bad])
+
+    @pytest.mark.parametrize("mode", ["auto", "exact", "monte_carlo"])
+    def test_overflowing_box_rejected(self, mode):
+        with pytest.raises(UsageError, match=r"^hv: the box from \[-1e\+308, -1e\+308\] "
+                                             r"to the reference point \[1e\+308, 1e\+308\]"):
+            hv([[-1e308, -1e308]], [1e308, 1e308], mode=mode)
+
+    def test_overflowing_volume_rejected(self):
+        with pytest.raises(UsageError, match="volume beyond the float range"):
+            hv([[-1e200] * 4], [1e200] * 4)
+
+    def test_overflowing_face_rejected(self):
+        # the sweep's 2-D area overflows although the box's volume does not
+        with pytest.raises(UsageError, match="volume beyond the float range"):
+            hv([[0.0, 0.0, 0.0]], [1e200, 1e200, 1e-300])
+
+    def test_box_near_the_float_limit_is_measured(self):
+        # box * hits passes the float range; the HV itself does not
+        ref = [1e77] * 4
+        assert hv([[0.0] * 4], ref, samples=1000).value == np.prod(ref)
 
     def test_nothing_dominates_reference(self):
         r = hv([[1.5, 0.5], [0.5, 1.5]], [1.0, 1.0])
