@@ -16,7 +16,6 @@ MC_DEFAULT_SAMPLES = 1_000_000
 _MC_CHUNK_BYTES = 8 * 2**20  # working memory of one Monte Carlo chunk
 _MC_TABLE_BYTES = 8 * 2**20  # cap on the Monte Carlo lookup tables
 _MC_BUCKETS = 4096  # lookup-table buckets per objective, at most
-_MC_GRID = 2**53  # Generator.random draws multiples of 1 / _MC_GRID
 _DISTANCE_BLOCK = 2**15  # entries of one distance plane (256 KiB), so it stays in cache
 
 
@@ -69,22 +68,33 @@ def _squared_distance_planes(solution: np.ndarray, reference: np.ndarray):
         yield plane
 
 
+def _mean_distance(what: str, nearest: np.ndarray) -> IndicatorResult:
+    """The mean of the roots of the nearest squared distances; an overflowed
+    square is an error, not an infinite mean."""
+    # sqrt is monotone, so the root of the minimum is the minimum of the roots
+    value = float(np.sqrt(nearest).mean())
+    if not np.isfinite(value):
+        raise UsageError(f"{what}: a distance between the sets passes the float range")
+    return IndicatorResult(what.upper(), value)
+
+
 def igd(solution: np.ndarray, reference: np.ndarray) -> IndicatorResult:
     """Mean distance from each reference point to its nearest solution point."""
     solution, reference = _check_sets(solution, reference, "igd")
     nearest = np.full(reference.shape[0], np.inf)
-    for plane in _squared_distance_planes(solution, reference):
-        np.minimum(nearest, plane.min(axis=0), out=nearest)
-    # sqrt is monotone, so the root of the minimum is the minimum of the roots
-    return IndicatorResult("IGD", float(np.sqrt(nearest).mean()))
+    with np.errstate(over="ignore"):
+        for plane in _squared_distance_planes(solution, reference):
+            np.minimum(nearest, plane.min(axis=0), out=nearest)
+    return _mean_distance("igd", nearest)
 
 
 def gd(solution: np.ndarray, reference: np.ndarray) -> IndicatorResult:
     """Mean distance from each solution point to its nearest reference point."""
     solution, reference = _check_sets(solution, reference, "gd")
-    nearest = np.concatenate([plane.min(axis=1) for plane
-                              in _squared_distance_planes(solution, reference)])
-    return IndicatorResult("GD", float(np.sqrt(nearest).mean()))
+    with np.errstate(over="ignore"):
+        nearest = np.concatenate([plane.min(axis=1) for plane
+                                  in _squared_distance_planes(solution, reference)])
+    return _mean_distance("gd", nearest)
 
 
 def _hv_2d(points: np.ndarray, ref: np.ndarray) -> float:
@@ -123,45 +133,29 @@ def _hv_exact(points: np.ndarray, ref: np.ndarray) -> float:
     return volume
 
 
-def _mc_thresholds(points: np.ndarray, lo: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Each coordinate p as the least t in [0, 2**53] whose sample
-    ``lo + scale * (t * 2**-53)`` reaches p; t = 2**53 means no draw does.
-
-    `Generator.uniform(lo, ref)` is ``lo + (ref - lo) * u`` for a draw u of
-    `Generator.random`, a multiple of 2**-53 in [0, 1), and the sample is
-    non-decreasing in u; so a sample reaches p exactly when u >= t * 2**-53.
-    Found by bisection over the 2**53 + 1 candidates, all coordinates at once.
-    """
-    low = np.zeros(points.shape, dtype=np.int64)
-    high = np.full(points.shape, _MC_GRID, dtype=np.int64)
-    for _ in range(54):  # ceil(log2(2**53 + 1)) halvings leave one candidate
-        mid = (low + high) >> 1
-        reach = (lo + scale * (mid / _MC_GRID) >= points) | (mid == _MC_GRID)
-        high = np.where(reach, mid, high)
-        low = np.where(reach, low, mid + 1)
-    return low
-
-
-def _mc_table(thresholds: np.ndarray, buckets: int) -> np.ndarray:
+def _mc_table(points: np.ndarray, lo: np.ndarray, scale: np.ndarray,
+              buckets: int) -> np.ndarray:
     """Per objective and bucket of draws, the masks of the points covered.
 
-    Bucket b of an objective holds the draws u with floor(u * buckets) == b.
-    A mask is w = ceil(n / 64) uint64 words, bit i for point i.  Row
-    `[d, b]` holds two: in words [0, w) the points that every draw in the
-    bucket reaches in objective d, in words [w, 2w) those that some draw in
-    it reaches.  Each is a prefix OR over the buckets of the bits set at the
-    first bucket that qualifies.
+    Bucket b of an objective holds the draws u with floor(u * buckets) == b;
+    its least sample, made as `Generator.uniform` makes one, is
+    ``lo + scale * (b / buckets)``, and samples never decrease as u grows.
+    A mask is w = ceil(n / 64) uint64 words, bit i for point i.  Row `[d, b]`
+    holds two: in words [0, w) the points that every draw in the bucket
+    reaches in objective d (its least sample does), in words [w, 2w) a
+    superset of those some draw in it reaches (the next bucket's least
+    sample does; all points in the last bucket).  Each is a prefix OR over
+    the buckets of the bits set at the first bucket that qualifies.
     """
-    n, m = thresholds.shape
+    n, m = points.shape
     words = -(-n // 64)
-    width = _MC_GRID // buckets
+    least = lo + scale * (np.arange(buckets) / buckets)[:, None]
+    # the first full bucket, or the spare last row, which no draw indexes
+    full = np.stack([np.searchsorted(c, p) for c, p in zip(least.T, points.T)], axis=1)
     point = np.arange(n)
     bit = np.left_shift(np.uint64(1), (point % 64).astype(np.uint64))[:, None]
     table = np.zeros((m, buckets + 1, 2 * words), dtype=np.uint64)
-    # a threshold on a bucket's first draw makes that bucket full; t = 2**53
-    # lands in the spare last row, which no draw indexes
-    for first, word in ((-(-thresholds // width), point // 64),
-                        (thresholds // width, words + point // 64)):
+    for first, word in ((full, point // 64), (np.maximum(full - 1, 0), words + point // 64)):
         np.bitwise_or.at(table, (np.arange(m), first, word[:, None]), bit)
     np.bitwise_or.accumulate(table, axis=1, out=table)
     return table[:, :buckets]
@@ -181,13 +175,11 @@ def _hv_monte_carlo(points: np.ndarray, ref: np.ndarray, samples: int,
     scale = ref - lo
     box = float(np.prod(scale))
     n, m = points.shape
-    thresholds = _mc_thresholds(points, lo, scale)
     words = -(-n // 64)
     buckets = _MC_BUCKETS
     while buckets > 1 and 16 * m * (buckets + 1) * words > _MC_TABLE_BYTES:
         buckets //= 2
-    table = _mc_table(thresholds, buckets)
-    limit = thresholds / _MC_GRID  # exact: a sample reaches p when u >= limit
+    table = _mc_table(points, lo, scale, buckets)
     # a sample costs its m draws and m bucket indices, two rows of 2w mask
     # words (a fold and its operand), and at worst a position, a copy of its
     # draws and one entry in each of two n x k boolean planes of the exact
@@ -217,10 +209,13 @@ def _hv_monte_carlo(points: np.ndarray, ref: np.ndarray, samples: int,
         # but that every objective's bucket lets some point reach
         near = np.flatnonzero(_any_word(acc[:, words:]) & ~covered)
         if near.size:
-            draws = u[near].T
-            hit = draws[0] >= limit[:, 0, None]
+            # in place, the same bits as `lo + scale * u`
+            x = u[near]
+            x *= scale
+            x += lo
+            hit = x[:, 0] >= points[:, 0, None]
             for d in range(1, m):
-                hit &= draws[d] >= limit[:, d, None]
+                hit &= x[:, d] >= points[:, d, None]
             hits += int(np.count_nonzero(hit.any(axis=0)))
         remaining -= k
     value = box * hits / samples
@@ -236,8 +231,8 @@ def hv(solution: np.ndarray, ref_point: np.ndarray, *, mode: str = "auto",
     Only points strictly below the reference point in every objective
     contribute; a NaN or infinite coordinate is an error, and so is a box
     from their ideal point to the reference point whose volume, or that of
-    a face, passes the float range.  mode "auto"
-    computes exactly for <= 3 objectives and falls back to Monte Carlo above;
+    a face, passes the float range or falls below its normal numbers.  mode
+    "auto" computes exactly for <= 3 objectives and falls back to Monte Carlo above;
     "exact" and "monte_carlo" force a method.  The Monte Carlo path uses the
     supplied generator or a fixed default stream, so repeated calls agree.
     """
@@ -264,13 +259,13 @@ def hv(solution: np.ndarray, ref_point: np.ndarray, *, mode: str = "auto",
     if pts.shape[0] == 0:
         return IndicatorResult("HV", 0.0, mode=mode,
                                samples=samples if mode == "monte_carlo" else None)
-    # the sweep's partial volumes, the sampling box and the sides the Monte
-    # Carlo thresholds scale by must be finite, or an overflow would be
-    # reported as an infinite HV
+    # the sweep's partial volumes and the sampling box must be finite and
+    # normal, or an overflow would be reported as an infinite HV and an
+    # underflow as an HV of 0
     lo = pts.min(axis=0)
     with np.errstate(over="ignore"):
         volumes = np.cumprod(ref - lo)
-    if not np.isfinite(volumes).all():
+    if not (np.isfinite(volumes) & (volumes >= np.finfo(float).tiny)).all():
         raise UsageError(
             f"hv: the box from {lo.tolist()} to the reference point {ref.tolist()} "
             f"has a volume beyond the float range")

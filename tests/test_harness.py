@@ -829,6 +829,26 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: hv: the box from [-1e+308, ")
 
+    @pytest.mark.parametrize("metric, front, ref, message", [
+        ("igd", [[1e200, 1e200]], [[0.0, 0.0]], "igd: a distance between the sets"),
+        ("gd", [[1e200, 1e200]], [[0.0, 0.0]], "gd: a distance between the sets"),
+        ("hv", [[0.0] * 3], [[1e-200, 1e-200, 1e200]], "hv: the box from [0.0, 0.0, 0.0]"),
+    ], ids=["igd-overflow", "gd-overflow", "hv-underflow"])
+    def test_metric_rejects_values_beyond_the_float_range(self, tmp_path, capsys, metric,
+                                                          front, ref, message):
+        paths = tmp_path / "front.csv", tmp_path / "ref.csv"
+        np.savetxt(paths[0], front, delimiter=",")
+        np.savetxt(paths[1], ref, delimiter=",")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["metric", metric, "--front", str(paths[0]),
+                             "--ref", str(paths[1])]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+
     def test_metric_hv_one_objective(self, tmp_path, capsys):
         front = tmp_path / "front.csv"
         ref = tmp_path / "ref.csv"

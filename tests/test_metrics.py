@@ -64,6 +64,20 @@ def least_draw(level, low, high):
     return j / 2**53
 
 
+def table_bits(table, n):
+    """The (m x buckets x n) 0/1 planes of a lookup table's two masks: the
+    points every draw in a bucket reaches, and those some draw may reach."""
+    bits = np.unpackbits(table.view(np.uint8), axis=-1, bitorder="little")
+    words = table.shape[2] // 2
+    return bits[..., :n], bits[..., 64 * words:64 * words + n]
+
+
+def first_bucket(bits):
+    """Per objective and point, the first bucket whose bit is set, or the
+    bucket count when none is."""
+    return np.where(bits.any(axis=1), bits.argmax(axis=1), bits.shape[1])
+
+
 class LatticeGenerator:
     """Stands in for a Generator whose samples in the box [low, high) land
     on `levels`: `random` returns, one flat position after another, values
@@ -135,6 +149,24 @@ class TestIgdGd:
         name = indicator.__name__
         with pytest.raises(UsageError, match=f"^{name}: {side} set holds NaN or infinity"):
             indicator(*sets)
+
+    @pytest.mark.parametrize("indicator", [igd, gd])
+    def test_overflowing_distance_rejected(self, indicator):
+        # the squared distance passes the float range; numpy would warn and
+        # the mean would read inf
+        name = indicator.__name__
+        with pytest.raises(UsageError, match=f"^{name}: a distance between the sets "
+                                             f"passes the float range$"):
+            indicator([[1e200, 1e200]], [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("indicator", [igd, gd])
+    def test_overflow_off_the_nearest_pair_is_silent(self, indicator):
+        # a square that overflows is never the nearest, so the value is exact
+        # and no warning is raised
+        far = [[1e200, 1e200], [3.0, 4.0]]
+        near = [[0.0, 0.0]]
+        sets = (far, near) if indicator is igd else (near, far)
+        assert indicator(*sets).value == 5.0
 
 
 class TestDistanceOracle:
@@ -334,7 +366,9 @@ class TestHvMonteCarlo:
         pts = np.array([[-1.0, 0.5], [2.0**-61, 0.25], [-0.5, 0.75]])
         ref = np.array([2.0**-60, 1.0])
         lo = pts.min(axis=0)
-        assert metrics._mc_thresholds(pts, lo, ref - lo)[1, 0] == 2**53
+        full, reach = table_bits(metrics._mc_table(pts, lo, ref - lo, metrics._MC_BUCKETS), 3)
+        assert not full[0, :, 1].any()  # no bucket is full for point 1
+        assert np.flatnonzero(reach[0, :, 1]).tolist() == [metrics._MC_BUCKETS - 1]
         rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
         value = metrics._hv_monte_carlo(pts, ref, 20_000, rng)
         assert value == hv_monte_carlo_oracle(pts, ref, 20_000, oracle_rng)
@@ -381,65 +415,83 @@ class TestMonteCarloThresholds:
 
     @pytest.mark.parametrize("scale", [1.0, 0.3, 1.7, 1e-7, 3e8])
     def test_threshold_is_the_least_reaching_draw(self, scale):
+        # a bucket is full exactly when its least draw is at or above the
+        # least draw that reaches the point, found here by a scan over draws
         g = np.random.default_rng(int(scale * 1e3))
         pts = g.random((200, 4)) * scale - scale / 3
         pts[:20] = np.round(pts[:20], 1)
         ref = np.full(4, scale)
         pts = pts[(pts < ref).all(axis=1)]
         lo = pts.min(axis=0)
-        t = metrics._mc_thresholds(pts, lo, ref - lo)
-        assert ((t >= 0) & (t <= 2**53)).all() and (t == 0).any(axis=0).all()
-
-        def sample(j):
-            return lo + (ref - lo) * (j / 2**53)
-
-        assert np.where(t < 2**53, sample(t) >= pts, True).all()
-        assert np.where(t > 0, sample(t - 1) < pts, True).all()
+        buckets = metrics._MC_BUCKETS
+        full, reach = table_bits(metrics._mc_table(pts, lo, ref - lo, buckets), pts.shape[0])
+        t = np.array([[least_draw(p, low, high) for p, low, high in zip(row, lo, ref)]
+                      for row in pts]).T[:, None, :]
+        start = (np.arange(buckets) / buckets)[None, :, None]
+        assert (full == (start >= t)).all()
+        assert (reach == ((start + 1 / buckets >= t) | (start == 1 - 1 / buckets))).all()
 
     def test_threshold_of_the_ideal_point_is_zero(self):
+        # bucket 0's least sample is lo itself, so only a coordinate at the
+        # ideal point is full from the first bucket
         pts = np.array([[0.5, 0.2, 0.9], [0.3, 0.6, 0.4]])
         lo = pts.min(axis=0)
-        t = metrics._mc_thresholds(pts, lo, 1.0 - lo)
-        assert ((t == 0) == (pts == lo)).all()
+        full, _ = table_bits(metrics._mc_table(pts, lo, 1.0 - lo, metrics._MC_BUCKETS), 2)
+        assert (full[:, 0, :] == (pts == lo).T).all()
 
     def test_thresholds_on_bucket_starts(self):
         # with lo = 0 and ref = 1 a sample is its draw, so a coordinate at a
-        # bucket's first draw has that draw as its threshold
-        width = 2**53 // metrics._MC_BUCKETS
-        starts = np.array([0, 1, 7, 2048, 4095]) * width
-        pts = np.stack([starts / 2**53, starts[::-1] / 2**53], axis=1)
-        t = metrics._mc_thresholds(pts, pts.min(axis=0), 1.0 - pts.min(axis=0))
-        assert t[:, 0].tolist() == starts.tolist()
-        assert t[:, 1].tolist() == starts[::-1].tolist()
+        # bucket's first draw makes that bucket its first full one
+        buckets = metrics._MC_BUCKETS
+        width = 2**53 // buckets
+        first = np.array([0, 1, 7, 2048, 4095])
+        pts = np.stack([first * width / 2**53, first[::-1] * width / 2**53], axis=1)
+        table = metrics._mc_table(pts, pts.min(axis=0), 1.0 - pts.min(axis=0), buckets)
+        full, reach = table_bits(table, 5)
+        assert first_bucket(full).tolist() == [first.tolist(), first[::-1].tolist()]
+        assert (first_bucket(reach) == np.maximum(first_bucket(full) - 1, 0)).all()
         rng, oracle_rng = np.random.default_rng(2), np.random.default_rng(2)
         value = metrics._hv_monte_carlo(pts, np.ones(2), 20_000, rng)
         assert value == hv_monte_carlo_oracle(pts, np.ones(2), 20_000, oracle_rng)
         assert rng.random() == oracle_rng.random()
 
     def test_thresholds_at_the_ends_of_the_grid(self):
-        width = 2**53 // metrics._MC_BUCKETS
+        buckets = metrics._MC_BUCKETS
+        width = 2**53 // buckets
         j = np.array([0, 1, 2, 3, width - 1, width + 1, 2**53 - 2, 2**53 - 1])
         pts = np.stack([j / 2**53, j[::-1] / 2**53], axis=1)
-        t = metrics._mc_thresholds(pts, np.zeros(2), np.ones(2))
-        assert t[:, 0].tolist() == j.tolist() and t[:, 1].tolist() == j[::-1].tolist()
+        full, reach = table_bits(metrics._mc_table(pts, np.zeros(2), np.ones(2), buckets), 8)
+        # the first bucket whose every draw reaches j, and the one holding j
+        assert (first_bucket(full) == np.stack([-(-j // width), -(-j[::-1] // width)])).all()
+        assert (first_bucket(reach) == np.stack([j // width, j[::-1] // width])).all()
+        rng, oracle_rng = np.random.default_rng(4), np.random.default_rng(4)
+        value = metrics._hv_monte_carlo(pts, np.ones(2), 20_000, rng)
+        assert value == hv_monte_carlo_oracle(pts, np.ones(2), 20_000, oracle_rng)
+        assert rng.random() == oracle_rng.random()
 
     @pytest.mark.parametrize("buckets", [1, 2, 64, 4096])
     def test_table_holds_full_and_reaching_points(self, buckets):
-        width = 2**53 // buckets
+        # in objective 0, ref - lo rounds to 1 and no draw reaches 2**-61
+        lo, ref = np.array([-1.0, 0.0, 3.0]), np.array([2.0**-60, 1e-7, 3e8])
+        scale = ref - lo
         g = np.random.default_rng(buckets)
-        t = g.integers(0, 2**53, size=(130, 3))
-        t[:10] = g.integers(0, buckets, size=(10, 3)) * width  # on bucket starts
-        t[10:14] = 0
-        t[14:18] = 2**53  # no draw reaches
-        table = metrics._mc_table(t, buckets)
+        pts = lo + scale * g.random((130, 3))
+        pts[:10] = lo + scale * (g.integers(0, buckets, size=(10, 3)) / buckets)
+        pts[10:14] = lo
+        pts[14:18, 0] = 2.0**-61
+        table = metrics._mc_table(pts, lo, scale, buckets)
         assert table.shape == (3, buckets, 6) and table.dtype == np.uint64
         bits = np.unpackbits(table.view(np.uint8), axis=-1, bitorder="little")
-        full, reach = bits[..., :130], bits[..., 192:192 + 130]
         assert not bits[..., 130:192].any() and not bits[..., 192 + 130:].any()
-        start = np.arange(buckets)[None, :, None] * width
-        tt = t.T[:, None, :]
-        assert (full == (tt <= start)).all()
-        assert (reach == (tt < start + width)).all()
+        full, reach = table_bits(table, 130)
+        p = pts.T[:, None, :]
+        least = (lo + scale * (np.arange(buckets + 1) / buckets)[:, None]).T[:, :, None]
+        assert (full == (least[:, :-1] >= p)).all()
+        assert (reach[:, :-1] == (least[:, 1:-1] >= p)).all() and reach[:, -1].all()
+        # the bucket's greatest draw, (b + 1) / B - 2**-53
+        greatest = lo + scale * (np.arange(1, buckets + 1) / buckets - 2.0**-53)[:, None]
+        assert (reach >= (greatest.T[:, :, None] >= p)).all()
+        assert not full[0, :, 14:18].any()
 
 
 class TestHvValidation:
@@ -487,6 +539,18 @@ class TestHvValidation:
         # the sweep's 2-D area overflows although the box's volume does not
         with pytest.raises(UsageError, match="volume beyond the float range"):
             hv([[0.0, 0.0, 0.0]], [1e200, 1e200, 1e-300])
+
+    @pytest.mark.parametrize("ref", [
+        [1e-200, 1e-200, 1e200],  # the sweep's 2-D area underflows
+        [1e-200, 1e-200, 1e200, 1.0],  # the Monte Carlo box's product underflows
+    ])
+    def test_underflowing_volume_rejected(self, ref):
+        with pytest.raises(UsageError, match="volume beyond the float range"):
+            hv([[0.0] * len(ref)], ref, samples=1000)
+
+    def test_small_box_with_normal_faces_is_measured(self):
+        # the sides of the rejected box above, reordered so no prefix underflows
+        assert hv([[0.0] * 4], [1e200, 1.0, 1e-200, 1e-200], samples=1000).value == 1e-200
 
     def test_box_near_the_float_limit_is_measured(self):
         # box * hits passes the float range; the HV itself does not
