@@ -143,7 +143,9 @@ class ProblemSpec:
 class Population:
     """Fixed-size collection of decision vectors with their objective values.
 
-    x has shape (n, n_var), f has shape (n, n_obj).
+    x has shape (n, n_var), f has shape (n, n_obj).  The constructor copies
+    its arrays; populations built from others (take, concat) keep the fresh
+    arrays that indexing and stacking make, so each array is copied once.
     """
 
     __slots__ = ("x", "f")
@@ -159,6 +161,15 @@ class Population:
         x.flags.writeable = False
         f.flags.writeable = False
         self.x, self.f = x, f
+
+    @classmethod
+    def _own(cls, x: np.ndarray, f: np.ndarray) -> "Population":
+        """Wrap fresh float arrays that nothing else references, without a copy."""
+        x.flags.writeable = False
+        f.flags.writeable = False
+        pop = cls.__new__(cls)
+        pop.x, pop.f = x, f
+        return pop
 
     @property
     def n_var(self) -> int:
@@ -176,8 +187,15 @@ class Population:
         return self.x.shape[0]
 
     def take(self, indices) -> "Population":
-        idx = np.asarray(indices, dtype=int)
-        return Population(self.x[idx], self.f[idx])
+        """The members at the given integer indices, in that order."""
+        idx = np.asarray(indices)
+        if idx.dtype.kind not in "iu":
+            if idx.size:  # a mask or fractions would be cast without a word
+                raise UsageError(f"take needs integer indices, got dtype {idx.dtype}")
+            idx = idx.astype(int)  # [] reads as float64
+        if idx.ndim != 1:
+            raise UsageError(f"take needs a 1-D index array, got shape {idx.shape}")
+        return Population._own(self.x[idx], self.f[idx])
 
     def __repr__(self) -> str:
         return f"Population(n={len(self)}, n_var={self.n_var}, n_obj={self.n_obj})"
@@ -189,7 +207,7 @@ def concat(a: Population, b: Population) -> Population:
         raise ConfigurationError(
             f"cannot concat populations with shapes ({a.n_var},{a.n_obj}) and "
             f"({b.n_var},{b.n_obj})")
-    return Population(np.vstack([a.x, b.x]), np.vstack([a.f, b.f]))
+    return Population._own(np.vstack([a.x, b.x]), np.vstack([a.f, b.f]))
 
 
 def merge_dedupe(a: Population, b: Population, *, n: int) -> Population:
@@ -201,17 +219,19 @@ def merge_dedupe(a: Population, b: Population, *, n: int) -> Population:
     n=0 is a pure dedupe.
     """
     both = concat(a, b)
-    seen: set[bytes] = set()
-    keep: list[int] = []
-    dropped: list[int] = []
-    for i, row in enumerate(both.x):
-        key = row.tobytes()
-        if key in seen:
-            dropped.append(i)
-        else:
-            seen.add(key)
-            keep.append(i)
-    return both.take(keep + dropped[:max(n - len(keep), 0)])
+    n_rows, width = both.x.shape
+    bits = both.x.view(np.uint64)
+    # a stable sort of the rows as byte strings puts every copy right after
+    # the first occurrence of its bytes; with no columns all rows are copies
+    order = (np.argsort(bits.view(np.dtype((np.void, 8 * width))).ravel(), kind="stable")
+             if width else np.arange(n_rows))
+    ranked = bits[order]
+    first = np.ones(n_rows, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    kept = np.zeros(n_rows, dtype=bool)
+    kept[order[first]] = True
+    keep, dropped = np.flatnonzero(kept), np.flatnonzero(~kept)
+    return both.take(np.concatenate([keep, dropped[:max(n - keep.size, 0)]]))
 
 
 def initialize_population(problem: ProblemSpec, n: int,

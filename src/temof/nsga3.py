@@ -9,7 +9,7 @@ the archive switched off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,16 +27,26 @@ NEAR_TIE = 1e-9
 
 @dataclass(frozen=True)
 class ReferencePointSet:
-    """Unit-simplex reference directions, one row per point."""
+    """Unit-simplex reference directions, one row per point.
+
+    unit holds the same directions scaled to unit length, computed once.
+    """
 
     points: np.ndarray
+    unit: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.shape[0] < 1 or pts.shape[1] < 2:
             raise ConfigurationError(f"reference point set has bad shape {pts.shape}")
+        norms = np.linalg.norm(pts, axis=1, keepdims=True)
+        if not np.all((norms > 0) & (norms < math.inf)):
+            raise ConfigurationError("reference points must be finite and nonzero")
+        unit = pts / norms
         pts.flags.writeable = False
+        unit.flags.writeable = False
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "unit", unit)
 
     @property
     def n_obj(self) -> int:
@@ -146,8 +156,7 @@ def associate(normalized: np.ndarray, refs: ReferencePointSet) -> tuple[np.ndarr
     if f.shape[1] != refs.n_obj:
         raise UsageError(
             f"points have {f.shape[1]} objectives, reference set has {refs.n_obj}")
-    w = refs.points
-    unit = w / np.linalg.norm(w, axis=1, keepdims=True)
+    unit = refs.unit
     proj = f @ unit.T
     # for a unit u, dist^2 = |f|^2 - (f.u)^2: the nearest direction has the
     # largest squared projection, and only its residual needs a norm
@@ -155,57 +164,14 @@ def associate(normalized: np.ndarray, refs: ReferencePointSet) -> tuple[np.ndarr
     idx = sq.argmax(axis=1)
     rows = np.arange(f.shape[0])
     floor = sq[rows, idx] - NEAR_TIE * np.einsum("ij,ij->i", f, f)
-    near = np.count_nonzero(sq >= floor[:, None], axis=1) > 1
+    # the largest always reaches its floor, so a row is near a tie when the
+    # largest of the others does too
+    sq[rows, idx] = -np.inf
+    near = sq.max(axis=1) >= floor
     if near.any():  # the direct formula's argmin over every residual
         idx[near] = np.linalg.norm(f[near, None, :] - proj[near, :, None] * unit,
                                    axis=2).argmin(axis=1)
     return idx, np.linalg.norm(f - proj[rows, idx][:, None] * unit[idx], axis=1)
-
-
-class _BoundedDraws:
-    """Scalar rng.integers(r) draws replayed from one bulk draw of 32-bit words.
-
-    numpy draws integers(r) for 1 < r < 2**32 by Lemire's rule on the next
-    32-bit output: m = word * r is accepted when its low 32 bits are at least
-    (2**32 - r) % r, and the draw is m >> 32; a rejected word is skipped, and
-    r == 1 reads no word.  Applying that rule in Python to words drawn in bulk
-    costs a fraction of a scalar call.  On exit the generator is rewound and
-    redraws exactly the words used, so it ends where the scalar calls would
-    have left it, also when the block raises.
-    """
-
-    __slots__ = ("_rng", "_saved", "_words", "_used")
-
-    def __init__(self, rng: np.random.Generator, expected: int):
-        self._rng = rng
-        self._saved = rng.bit_generator.state
-        self._words = self._draw_words(max(expected, 1))
-        self._used = 0
-
-    def _draw_words(self, count: int) -> list[int]:
-        return self._rng.integers(0, 1 << 32, size=count, dtype=np.uint32).tolist()
-
-    def below(self, r: int) -> int:
-        """The next rng.integers(r), for 1 <= r < 2**32."""
-        if r == 1:
-            return 0
-        threshold = (0x100000000 - r) % r
-        words = self._words
-        while True:
-            if self._used == len(words):
-                words += self._draw_words(len(words))
-            m = words[self._used] * r
-            self._used += 1
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
-
-    def __enter__(self) -> "_BoundedDraws":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._rng.bit_generator.state = self._saved
-        if self._used:
-            self._draw_words(self._used)
 
 
 def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray,
@@ -215,7 +181,13 @@ def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray
     rho holds current niche counts per reference point (from the already
     selected members).  Returns indices into the critical front arrays.  The
     draws are rng.integers(len(ties)) and rng.integers(len(bucket)) in loop
-    order, replayed by _BoundedDraws.
+    order.  numpy draws integers(r) for 1 < r < 2**32 by Lemire's rule on the
+    next 32-bit output: m = word * r is accepted when its low 32 bits are at
+    least (2**32 - r) % r, and the draw is m >> 32; a rejected word is
+    skipped, and r == 1 reads no word.  The loop applies that rule inline to
+    words drawn in bulk, then rewinds the generator and redraws exactly the
+    words used, so it ends where the scalar calls would have left it, also
+    when the loop raises.
     """
     rho = np.asarray(rho, dtype=float).tolist()
     # per reference: critical members ordered by distance, nearest first
@@ -224,28 +196,57 @@ def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray
     for i in np.argsort(crit_dist, kind="stable").tolist():
         members[assoc[i]].append(i)
     picked: list[int] = []
-    # references at the lowest niche count, ascending; a visit lifts j out of
-    # this level, so the level is rescanned only once it is used up
-    ties: list[int] = []
+    saved = rng.bit_generator.state
     # each turn makes at most two draws and either picks or exhausts a niche
-    with _BoundedDraws(rng, len(rho) + 2 * k) as draws:
+    words = rng.integers(0, 1 << 32, size=len(rho) + 2 * k, dtype=np.uint32).tolist()
+    used = 0
+    try:
         while len(picked) < k:
-            if not ties:
-                low = min(rho)
-                if low == math.inf:
-                    raise UsageError("niching ran out of candidates before filling the slots")
-                ties = [j for j, count in enumerate(rho) if count == low]
-            j = ties.pop(draws.below(len(ties)))
-            bucket = members[j]
-            if not bucket:
-                rho[j] = math.inf  # niche exhausted, never revisit
-                continue
-            if rho[j] == 0:
-                i = bucket.pop(0)  # nearest member of an empty niche
-            else:
-                i = bucket.pop(draws.below(len(bucket)))
-            picked.append(i)
-            rho[j] += 1.0
+            low = min(rho)
+            if low == math.inf:
+                raise UsageError("niching ran out of candidates before filling the slots")
+            # references at the lowest niche count, ascending; a visit lifts j
+            # out of this level, so each turn draws from one fewer of them
+            ties = [j for j, count in enumerate(rho) if count == low]
+            for r in range(len(ties), 0, -1):
+                t = 0
+                if r > 1:
+                    threshold = (0x100000000 - r) % r
+                    while True:
+                        if used == len(words):
+                            words += rng.integers(0, 1 << 32, size=len(words),
+                                                  dtype=np.uint32).tolist()
+                        m = words[used] * r
+                        used += 1
+                        if m & 0xFFFFFFFF >= threshold:
+                            t = m >> 32
+                            break
+                j = ties.pop(t)
+                bucket = members[j]
+                if not bucket:
+                    rho[j] = math.inf  # niche exhausted, never revisit
+                    continue
+                b = 0  # an empty niche's nearest member; integers(1) reads no word
+                if rho[j] != 0 and len(bucket) > 1:
+                    size = len(bucket)
+                    threshold = (0x100000000 - size) % size
+                    while True:
+                        if used == len(words):
+                            words += rng.integers(0, 1 << 32, size=len(words),
+                                                  dtype=np.uint32).tolist()
+                        m = words[used] * size
+                        used += 1
+                        if m & 0xFFFFFFFF >= threshold:
+                            b = m >> 32
+                            break
+                picked.append(bucket.pop(b))
+                rho[j] += 1.0
+                if len(picked) == k:
+                    break
+    finally:
+        rng.bit_generator.state = saved
+        if used:
+            rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
     return picked
 
 

@@ -63,12 +63,13 @@ def sbx_batch(p1: np.ndarray, p2: np.ndarray, params: VariationParams,
     do = rng.random(p1.shape) < params.pc
     u = rng.random(p1.shape)
     exp = 1.0 / (params.eta_c + 1.0)
-    beta = np.where(u <= 0.5, (2.0 * u) ** exp, (0.5 / (1.0 - u)) ** exp)
+    beta = np.where(u <= 0.5, 2.0 * u, 0.5 / (1.0 - u)) ** exp
     beta = np.where(do, beta, 1.0)  # beta == 1 leaves both children on the parents
     c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
     c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
-    np.clip(c1, lower, upper, out=c1)
-    np.clip(c2, lower, upper, out=c2)
+    for c in (c1, c2):
+        np.maximum(c, lower, out=c)
+        np.minimum(c, upper, out=c)
     return c1, c2
 
 
@@ -94,7 +95,8 @@ def mutate_batch(x: np.ndarray, params: VariationParams,
     delta = np.where(u <= 0.5, low_side, high_side)
     out = x.copy()
     out[rows, cols] = xs + delta * span
-    np.clip(out, lower, upper, out=out)
+    np.maximum(out, lower, out=out)
+    np.minimum(out, upper, out=out)
     return out
 
 

@@ -98,10 +98,11 @@ class TestPopulation:
             pop.f[0, 0] = 5.0
 
     def test_source_array_not_aliased(self):
-        x = np.zeros((2, 2))
-        pop = Population(x, np.ones((2, 2)))
+        x, f = np.zeros((2, 2)), np.ones((2, 2))
+        pop = Population(x, f)
         x[0, 0] = 9.0
         assert pop.x[0, 0] == 0.0
+        assert f.flags.writeable and not np.shares_memory(pop.f, f)
 
     def test_take_preserves_state(self):
         pop = Population(np.arange(8, dtype=float).reshape(4, 2),
@@ -109,6 +110,30 @@ class TestPopulation:
         sub = pop.take([2, 0])
         assert np.array_equal(sub.x, [[4.0, 5.0], [0.0, 1.0]])
         assert np.array_equal(sub.f, [[4.0, 5.0], [0.0, 1.0]])
+
+    def test_take_rejects_masks_and_fractions(self):
+        pop = Population(np.arange(6.0).reshape(3, 2), np.zeros((3, 2)))
+        with pytest.raises(UsageError, match="integer indices, got dtype bool"):
+            pop.take(np.array([True, False, True]))
+        with pytest.raises(UsageError, match="integer indices, got dtype float64"):
+            pop.take([0.9, 2.2])
+        with pytest.raises(UsageError, match="1-D index array"):
+            pop.take([[0, 1]])
+        assert len(pop.take([])) == 0 and pop.take([]).n_var == 2
+        assert np.array_equal(pop.take(np.array([2, 0], dtype=np.uint8)).x, [[4.0, 5.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("build", [
+        lambda a, b: a.take([1, 0, 1]),
+        lambda a, b: concat(a, b),
+        lambda a, b: merge_dedupe(a, b, n=5),
+    ], ids=["take", "concat", "merge_dedupe"])
+    def test_derived_arrays_are_fresh_and_readonly(self, build):
+        a = Population(np.arange(6.0).reshape(3, 2), np.arange(9.0).reshape(3, 3))
+        b = Population(np.arange(6.0).reshape(3, 2), np.ones((3, 3)))
+        pop = build(a, b)
+        for arr in (pop.x, pop.f):
+            assert not arr.flags.writeable
+            assert not any(np.shares_memory(arr, src) for src in (a.x, a.f, b.x, b.f))
 
     def test_row_count_mismatch(self):
         with pytest.raises(UsageError):
@@ -167,6 +192,42 @@ class TestConcatAndMerge:
         b = Population(np.zeros((1, 2)), np.ones((1, 2)))
         assert np.array_equal(merge_dedupe(a, b, n=0).x, [[0.5, 0.5], [0.0, 0.0]])
         assert np.array_equal(merge_dedupe(a, b, n=3).x, [[0.5, 0.5], [0.0, 0.0], [0.5, 0.5]])
+
+    @staticmethod
+    def merge_oracle(a, b, n):
+        """merge_dedupe as first written: one set of row bytes, row by row."""
+        both = concat(a, b)
+        seen: set[bytes] = set()
+        keep: list[int] = []
+        dropped: list[int] = []
+        for i, row in enumerate(both.x):
+            key = row.tobytes()
+            if key in seen:
+                dropped.append(i)
+            else:
+                seen.add(key)
+                keep.append(i)
+        return both.take(keep + dropped[:max(n - len(keep), 0)])
+
+    def test_merge_matches_row_loop_oracle(self):
+        # 0.0 beside -0.0, then rows without columns: all copies of the first
+        cases = [(Population(np.array([[0.0, 1.0], [-0.0, 1.0]]), np.zeros((2, 2))),
+                  Population(np.array([[0.0, 1.0]]), np.ones((1, 2)))),
+                 (Population(np.zeros((3, 0)), np.arange(6.0).reshape(3, 2)),
+                  Population(np.zeros((2, 0)), np.ones((2, 2))))]
+        rng = np.random.default_rng(5)
+        values = np.array([0.0, -0.0, 0.25, 1.0, np.nan, -np.inf])
+        for _ in range(300):  # repeated rows, n below and above the unique count
+            n_var = int(rng.integers(0, 5))
+            sizes = rng.integers(0, 12, size=2)
+            cases.append(tuple(Population(values[rng.integers(values.size, size=(size, n_var))],
+                                          rng.random((size, 2))) for size in sizes))
+        for a, b in cases:
+            total = len(a) + len(b)
+            for n in (0, 1, int(rng.integers(0, total + 3)), total + 2):
+                got, want = merge_dedupe(a, b, n=n), self.merge_oracle(a, b, n)
+                assert got.x.tobytes() == want.x.tobytes() and got.x.shape == want.x.shape
+                assert got.f.tobytes() == want.f.tobytes()
 
     def test_merge_dim_mismatch(self):
         a = Population(np.zeros((1, 2)), np.zeros((1, 2)))

@@ -9,7 +9,7 @@ from temof import (ConfigurationError, FrameworkConfig, NormalizationState, Nsga
                    environmental_selection, first_front_selection, make_problem,
                    normalize, nsga3_run, reference_points_for, rng_stream,
                    sort_fronts, temof_run)
-from temof.nsga3 import _BoundedDraws, _niche_select, choose_divisions
+from temof.nsga3 import _niche_select, choose_divisions
 
 
 class TestDasDennis:
@@ -241,6 +241,18 @@ class TestAssociate:
         with pytest.raises(UsageError):
             associate(np.zeros((2, 2)), refs)
 
+    def test_unit_directions_computed_once_and_checked(self):
+        refs = das_dennis(4, 3)
+        want = refs.points / np.linalg.norm(refs.points, axis=1, keepdims=True)
+        assert refs.unit.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            refs.unit[0, 0] = 2.0
+        associate(np.random.default_rng(0).random((5, 4)), refs)
+        assert refs.unit.tobytes() == want.tobytes()
+        for bad in ([[0.0, 0.0], [1.0, 0.0]], [[np.nan, 1.0]], [[np.inf, 1.0]]):
+            with pytest.raises(ConfigurationError, match="finite and nonzero"):
+                ReferencePointSet(np.array(bad))
+
 
 def _evaluated(f):
     f = np.asarray(f, dtype=float)
@@ -343,18 +355,63 @@ def niche_select_oracle(rho, crit_assoc, crit_dist, k, rng):
     return picked
 
 
+def _zero_word_first(rng):
+    """Make the next 32-bit output of a PCG64 generator the word 0.
+
+    Lemire's rule rejects 0 for every r that is not a power of two, so the
+    first draw below such an r reads a second word.
+    """
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, 0
+    rng.bit_generator.state = state
+    return rng
+
+
+class _FewWords(np.random.Generator):
+    """A PCG64 generator whose first bulk draw returns at most `cap` words."""
+
+    def __init__(self, seed, cap):
+        super().__init__(np.random.PCG64(seed))
+        self.cap = cap
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        if self.cap is not None and size is not None:
+            size, self.cap = min(size, self.cap), None
+        return super().integers(low, high, size=size, dtype=dtype, endpoint=endpoint)
+
+
 class TestNicheSelect:
     @staticmethod
-    def check(rho, assoc, dist, k, seed=0):
-        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    def check(rho, assoc, dist, k, seed=0, *, zero_word=False, cap=None):
+        rng = np.random.default_rng(seed) if cap is None else _FewWords(seed, cap)
+        oracle_rng = np.random.default_rng(seed)
+        if zero_word:
+            _zero_word_first(rng)
+            _zero_word_first(oracle_rng)
         rho = np.asarray(rho, dtype=float)
         assoc, dist = np.asarray(assoc), np.asarray(dist, dtype=float)
-        got = _niche_select(rho.copy(), assoc, dist, k, rng)
-        assert got == niche_select_oracle(rho.copy(), assoc, dist, k, oracle_rng)
+        try:
+            got = _niche_select(rho.copy(), assoc, dist, k, rng)
+        except UsageError:
+            with pytest.raises(UsageError, match="ran out"):
+                niche_select_oracle(rho.copy(), assoc, dist, k, oracle_rng)
+            got = None
+        else:
+            assert got == niche_select_oracle(rho.copy(), assoc, dist, k, oracle_rng)
         # same draws, in the same order: the whole state, PCG64's buffered
         # 32-bit half included, which the next random() would not read
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
         return got
+
+    @staticmethod
+    def random_instance(rng, short=False):
+        n_refs = int(rng.integers(1, 30))
+        size = int(rng.integers(1, 40))
+        assoc = rng.integers(n_refs, size=size)
+        dist = np.round(rng.random(size), 1)  # tied distances keep stable order
+        rho = rng.integers(0, 4, size=n_refs) * rng.integers(0, 2, size=n_refs)
+        k = int(rng.integers(size + 1, size + 4) if short else rng.integers(1, size + 1))
+        return rho, assoc, dist, k
 
     def test_zero_counts_and_memberless_niches(self):
         # ten empty niches, only 0, 2 and 4 have members: the rest go to inf
@@ -380,12 +437,28 @@ class TestNicheSelect:
     def test_random_instances(self):
         rng = np.random.default_rng(11)
         for seed in range(200):
-            n_refs = int(rng.integers(1, 30))
-            size = int(rng.integers(1, 40))
-            assoc = rng.integers(n_refs, size=size)
-            dist = np.round(rng.random(size), 1)  # tied distances keep stable order
-            rho = rng.integers(0, 4, size=n_refs) * rng.integers(0, 2, size=n_refs)
-            self.check(rho, assoc, dist, int(rng.integers(1, size + 1)), seed)
+            self.check(*self.random_instance(rng), seed)
+
+    def test_rejected_word_is_skipped(self):
+        assert _zero_word_first(np.random.default_rng(0)).integers(0, 1 << 32,
+                                                                   dtype=np.uint32) == 0
+        rng = np.random.default_rng(12)
+        for seed in range(50):
+            # three references at the lowest count: the first draw is below 3
+            rho = np.array([0, 0, 0, 1, 2])
+            assoc = rng.integers(5, size=int(rng.integers(3, 20)))
+            assoc[:3] = [0, 1, 2]
+            dist = rng.random(assoc.size)
+            self.check(rho, assoc, dist, int(rng.integers(1, assoc.size + 1)), seed,
+                       zero_word=True)
+        for seed in range(50):
+            self.check(*self.random_instance(rng), seed, zero_word=True)
+
+    def test_words_refill_when_used_up(self):
+        rng = np.random.default_rng(13)
+        for seed in range(50):
+            self.check(*self.random_instance(rng), seed, cap=int(rng.integers(1, 4)),
+                       zero_word=bool(seed % 2))
 
     def test_too_few_candidates(self):
         states = []
@@ -396,25 +469,63 @@ class TestNicheSelect:
             states.append(rng.bit_generator.state)
         assert states[0] == states[1]  # the failed call's draws are still consumed
 
+    def test_generator_rewinds_when_the_loop_raises(self):
+        rng = np.random.default_rng(14)
+        for seed in range(50):  # more slots than candidates: every case runs out
+            instance = self.random_instance(rng, short=True)
+            assert self.check(*instance, seed) is None
+            assert self.check(*instance, seed, zero_word=True, cap=2) is None
 
-def _scalar_and_replayed(rng, ranges, expected):
-    """(scalar integers(r) draws, final state) and the same from _BoundedDraws."""
+
+def lemire_replay(rng, ranges, bulk):
+    """rng.integers(r) for each r, by Lemire's rule on 32-bit words drawn in bulk.
+
+    Words come `bulk` at a time from integers(0, 2**32, dtype=uint32): m =
+    word * r is accepted when m % 2**32 >= (2**32 - r) % r, and the draw is
+    m >> 32; r == 1 reads no word.  Afterwards, also when `ranges` raises,
+    the generator is rewound and redraws exactly the words used.  This is the
+    rule _niche_select applies inline.
+    """
+    saved = rng.bit_generator.state
+    words, used, draws = [], 0, []
+    try:
+        for r in ranges:
+            if r == 1:
+                draws.append(0)
+                continue
+            while True:
+                if used == len(words):
+                    words += rng.integers(0, 1 << 32, size=bulk, dtype=np.uint32).tolist()
+                m = words[used] * r
+                used += 1
+                if m % (1 << 32) >= (2**32 - r) % r:
+                    draws.append(m >> 32)
+                    break
+    finally:
+        rng.bit_generator.state = saved
+        if used:
+            rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
+    return draws
+
+
+def _scalar_and_replayed(rng, ranges, bulk):
+    """(scalar integers(r) draws, final state) and the same from lemire_replay."""
     start = rng.bit_generator.state
     scalar = [int(rng.integers(r)) for r in ranges]
     scalar_state = rng.bit_generator.state
     rng.bit_generator.state = start
-    with _BoundedDraws(rng, expected) as draws:
-        replayed = [draws.below(r) for r in ranges]
+    replayed = lemire_replay(rng, ranges, bulk)
     return (scalar, scalar_state), (replayed, rng.bit_generator.state)
 
 
 class TestBoundedDrawsMatchNumpy:
-    """The numpy facts the niching replay rests on, checked by name.
+    """The numpy facts the niching draws rest on, checked by name.
 
     Generator.integers(r) for 1 < r < 2**32 applies Lemire's rule to the next
     32-bit output, integers(0, 2**32, dtype=uint32) returns those outputs,
-    and integers(1) reads nothing.  A numpy that changes any of these fails
-    here.
+    bulk draws continue one another, restoring a saved state and redrawing
+    the words used ends where the scalar calls did, and integers(1) reads
+    nothing.  A numpy that changes any of these fails here.
     """
 
     @pytest.mark.parametrize("half_word", [0, 1])
@@ -439,17 +550,18 @@ class TestBoundedDrawsMatchNumpy:
 
     def test_buffer_refills_when_used_up(self):
         ranges = [7, 1, 3**19, 2, 2**31 + 1] * 40
-        for expected in (1, 2, 50):
-            scalar, replayed = _scalar_and_replayed(np.random.default_rng(9), ranges, expected)
+        for bulk in (1, 2, 50):
+            scalar, replayed = _scalar_and_replayed(np.random.default_rng(9), ranges, bulk)
             assert replayed == scalar
 
     def test_state_settles_when_the_block_raises(self):
+        def ranges():
+            yield from (5, 2**31 + 3)
+            raise KeyError
+
         rng, scalar_rng = np.random.default_rng(6), np.random.default_rng(6)
         with pytest.raises(KeyError):
-            with _BoundedDraws(rng, 100) as draws:
-                for r in (5, 2**31 + 3):
-                    draws.below(r)
-                raise KeyError
+            lemire_replay(rng, ranges(), 100)
         for r in (5, 2**31 + 3):
             scalar_rng.integers(r)
         assert rng.bit_generator.state == scalar_rng.bit_generator.state

@@ -2,8 +2,10 @@
 
 Each case hashes the bytes of one run's final population (x and f), plus, for
 the framework, its archive and the per-generation mating sources.  The
-digests were recorded with the straightforward dominance and niching loops
-that tests/test_dominance.py and tests/test_nsga3.py keep as oracles.  A
+ZDT3 and DTLZ2 (M = 3) digests were recorded with the straightforward
+dominance and niching loops that tests/test_dominance.py and
+tests/test_nsga3.py keep as oracles, and the DTLZ2 (M = 5) and DTLZ7 ones
+before niching applied numpy's bounded-integer rule inline.  A
 change that must alter results prints new ones with
 `PYTHONPATH=src:tests python3 -c "import test_pinned_results as t; print(t.current_digests())"`
 and says why.  They assume IEEE doubles and the numpy build the suite runs
@@ -18,9 +20,11 @@ import pytest
 from temof import FrameworkConfig, make_problem, nsga3_run, temof_run
 
 MAX_FES = 3000
-CASES = {  # problem -> (n_obj, population size)
-    "ZDT3": (2, 100),
-    "DTLZ2": (3, 92),
+CASES = {  # label -> (problem, n_obj, population size)
+    "ZDT3": ("ZDT3", 2, 100),
+    "DTLZ2": ("DTLZ2", 3, 92),
+    "DTLZ2-M5": ("DTLZ2", 5, 126),
+    "DTLZ7": ("DTLZ7", 3, 100),
 }
 SEEDS = (0, 1)
 KEYS = [f"{p}/{a}/{s}" for p in CASES for a in ("nsga3", "temof-nsga3") for s in SEEDS]
@@ -33,6 +37,14 @@ EXPECTED = {
     "DTLZ2/nsga3/1": "d6c751b0f3ab2db550089226a7bf5d603913387312615299e7bb1b3f2ece251f",
     "DTLZ2/temof-nsga3/0": "5865e1fac995e43bc7df75aba2ae29b836a35a67f7eafb301eafcce613dd3fca",
     "DTLZ2/temof-nsga3/1": "ddccc1e5a896fc789bdee0944aa84219c2134df1fbeb86e5b475edac250488d4",
+    "DTLZ2-M5/nsga3/0": "cbea693c210cd8b074963f5395b2f5edab76aec2d12c60d24a8daa3c2a231ee9",
+    "DTLZ2-M5/nsga3/1": "15cf16b01d7f8f6bad26acb30680037fbf89938bf2721a0e467389bd984513ff",
+    "DTLZ2-M5/temof-nsga3/0": "a29bd4165a8115eec3cdbe8c50b3a686fea5d964aed49ba056d3ff62a2ee20a4",
+    "DTLZ2-M5/temof-nsga3/1": "4904d37908015657cb20ba9050c2a71ac821a15784647d3d9d91737f66340b4d",
+    "DTLZ7/nsga3/0": "4dd6feb22ce448c22de68017e126608a74167f62c480061ed71c0fc961a6f197",
+    "DTLZ7/nsga3/1": "9cd0260ae99505041aae7f54f95c8e405f8cb2af08b3e40570621bcabb3d31f1",
+    "DTLZ7/temof-nsga3/0": "67e20acf5624f96b309fc919065a4f1b84fdb400bba9e495735f7de8f327ae1b",
+    "DTLZ7/temof-nsga3/1": "7bf6a41ea8bfa7ac36bb1ff249dafdfa54b07aa614015ad3561e2ca41e4cb0c6",
 }
 
 
@@ -48,8 +60,8 @@ def _digest(*parts) -> str:
 
 
 def run_digest(key: str) -> str:
-    problem_name, algorithm, seed = key.split("/")
-    n_obj, n = CASES[problem_name]
+    label, algorithm, seed = key.split("/")
+    problem_name, n_obj, n = CASES[label]
     problem = make_problem(problem_name, n_obj=n_obj)
     if algorithm == "nsga3":
         pop, fes = nsga3_run(problem, n, MAX_FES, int(seed))

@@ -193,6 +193,56 @@ class TestMutationMatchesOracle:
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+def sbx_batch_oracle(p1, p2, params, lower, upper, rng):
+    """sbx_batch as first written: both power branches, then np.clip."""
+    do = rng.random(p1.shape) < params.pc
+    u = rng.random(p1.shape)
+    exp = 1.0 / (params.eta_c + 1.0)
+    beta = np.where(u <= 0.5, (2.0 * u) ** exp, (0.5 / (1.0 - u)) ** exp)
+    beta = np.where(do, beta, 1.0)
+    c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
+    c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+    np.clip(c1, lower, upper, out=c1)
+    np.clip(c2, lower, upper, out=c2)
+    return c1, c2
+
+
+class _PlantedDraws(np.random.Generator):
+    """A PCG64 generator whose random() matrices hold 0.5 and 0.0 at some entries."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        draws = super().random(size, dtype, out)
+        draws.flat[::7] = 0.5
+        draws.flat[3::11] = 0.0
+        return draws
+
+
+class TestSbxMatchesOracle:
+    @pytest.mark.parametrize("planted", [False, True], ids=["plain", "u=0.5"])
+    @pytest.mark.parametrize("params", [VariationParams(), VariationParams(pc=0.5, eta_c=0.5)],
+                             ids=["default", "wide"])
+    def test_byte_equal_over_seeds(self, params, planted):
+        lower, upper = np.array([0.0] + [-5.0] * 9), np.array([1.0] + [5.0] * 9)
+        make = _PlantedDraws if planted else np.random.default_rng
+        at_lower = at_upper = 0
+        for seed in range(100):
+            parents = np.random.default_rng(10_000 + seed).random((2, 30, 10))
+            # parents near both bounds send children past them
+            p1, p2 = lower + np.round(parents, 1) * (upper - lower)
+            rng, oracle_rng = make(seed), make(seed)
+            got = sbx_batch(p1, p2, params, lower, upper, rng)
+            expected = sbx_batch_oracle(p1, p2, params, lower, upper, oracle_rng)
+            for child, want in zip(got, expected):
+                assert child.tobytes() == want.tobytes()
+                at_lower += np.count_nonzero((child == lower) & (p1 != lower) & (p2 != lower))
+                at_upper += np.count_nonzero((child == upper) & (p1 != upper) & (p2 != upper))
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        assert at_lower > 0 and at_upper > 0
+
+
 class TestGenerateOffspring:
     def test_exact_count_and_budget(self):
         evaluated = []
