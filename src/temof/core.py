@@ -207,7 +207,7 @@ def concat(a: Population, b: Population) -> Population:
         raise ConfigurationError(
             f"cannot concat populations with shapes ({a.n_var},{a.n_obj}) and "
             f"({b.n_var},{b.n_obj})")
-    return Population._own(np.vstack([a.x, b.x]), np.vstack([a.f, b.f]))
+    return Population._own(np.concatenate([a.x, b.x]), np.concatenate([a.f, b.f]))
 
 
 def merge_dedupe(a: Population, b: Population, *, n: int) -> Population:

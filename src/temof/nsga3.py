@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -136,7 +137,7 @@ def normalize(objs: np.ndarray, state: NormalizationState) -> np.ndarray:
         plane = np.linalg.solve(extremes, np.ones(m))
         with np.errstate(divide="ignore", over="ignore"):
             candidate = 1.0 / plane
-        if np.all(np.isfinite(candidate)) and np.all(candidate > 0):
+        if (candidate > 0).all() and (candidate < math.inf).all():
             intercepts = candidate
     except np.linalg.LinAlgError:
         pass
@@ -160,7 +161,8 @@ def associate(normalized: np.ndarray, refs: ReferencePointSet) -> tuple[np.ndarr
     proj = f @ unit.T
     # for a unit u, dist^2 = |f|^2 - (f.u)^2: the nearest direction has the
     # largest squared projection, and only its residual needs a norm
-    sq = proj * proj
+    # (np.square rounds each product as proj * proj does, at half its cost)
+    sq = np.square(proj)
     idx = sq.argmax(axis=1)
     rows = np.arange(f.shape[0])
     floor = sq[rows, idx] - NEAR_TIE * np.einsum("ij,ij->i", f, f)
@@ -168,85 +170,148 @@ def associate(normalized: np.ndarray, refs: ReferencePointSet) -> tuple[np.ndarr
     # largest of the others does too
     sq[rows, idx] = -np.inf
     near = sq.max(axis=1) >= floor
+    # residual norms are taken as np.linalg.norm takes them for real rows,
+    # without its per-call checks
     if near.any():  # the direct formula's argmin over every residual
-        idx[near] = np.linalg.norm(f[near, None, :] - proj[near, :, None] * unit,
-                                   axis=2).argmin(axis=1)
-    return idx, np.linalg.norm(f - proj[rows, idx][:, None] * unit[idx], axis=1)
+        resid = f[near, None, :] - proj[near, :, None] * unit
+        idx[near] = np.sqrt(np.add.reduce(resid * resid, axis=2)).argmin(axis=1)
+    resid = f - proj[rows, idx][:, None] * unit[idx]
+    return idx, np.sqrt(np.add.reduce(resid * resid, axis=1))
+
+
+def _more_words(rng: np.random.Generator, size: int) -> list[int]:
+    """size + 2 more 32-bit words from rng, as Python ints."""
+    return rng.integers(0, 1 << 32, size=size + 2, dtype=np.uint32).tolist()
+
+
+def _accepted(m: int, r: int, words: list[int], used: int,
+              rng: np.random.Generator) -> tuple[int, int]:
+    """Finish a draw below r whose product m = word * r has low 32 bits below r.
+
+    Lemire's rule accepts m when those bits reach (2**32 - r) % r, which is
+    below r, and otherwise reads the next word.  Returns the accepted
+    product and the words used so far; it leaves at least one word unread.
+    """
+    threshold = (0x100000000 - r) % r
+    while m & 0xFFFFFFFF < threshold:
+        if len(words) - used < 2:
+            words += _more_words(rng, len(words))
+        m = words[used] * r
+        used += 1
+    return m, used
 
 
 def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray,
                   k: int, rng: np.random.Generator) -> list[int]:
     """Pick k critical-front members by Deb's niching loop.
 
-    rho holds current niche counts per reference point (from the already
-    selected members).  Returns indices into the critical front arrays.  The
-    draws are rng.integers(len(ties)) and rng.integers(len(bucket)) in loop
-    order.  numpy draws integers(r) for 1 < r < 2**32 by Lemire's rule on the
-    next 32-bit output: m = word * r is accepted when its low 32 bits are at
+    rho holds the whole-number niche count of each reference point (from the
+    already selected members).  Returns indices into the critical front
+    arrays, ascending.  The loop visits one level of tied counts at a time,
+    in a random order: the draws are rng.integers(len(ties)) and, above
+    count 0, rng.integers(len(bucket)) in loop order.  Levels after the
+    first hold the references the last level lifted and those whose
+    starting count is one higher.
+
+    numpy draws integers(r) for 1 < r < 2**32 by Lemire's rule on the next
+    32-bit output: m = word * r is accepted when its low 32 bits are at
     least (2**32 - r) % r, and the draw is m >> 32; a rejected word is
-    skipped, and r == 1 reads no word.  The loop applies that rule inline to
-    words drawn in bulk, then rewinds the generator and redraws exactly the
-    words used, so it ends where the scalar calls would have left it, also
-    when the loop raises.
+    skipped, and r == 1 reads no word.  As (2**32 - r) % r < r, a product
+    whose low 32 bits reach r is accepted at once; only one below r needs
+    the exact test (_accepted).  The loop applies that rule inline to words
+    drawn in bulk, then rewinds the generator and redraws exactly the words
+    used, so it ends where the scalar calls would have left it, also when
+    the loop raises.
+
+    A first level at count 0 settles in one step when fewer of its niches
+    hold members than there are slots: no visit there draws a member, so
+    whatever the visit order it picks the nearest member of each such
+    niche, and it reads the next len(ties) - 1 words, for ranges len(ties)
+    down to 2.  That holds when no word can be rejected, which is checked
+    in bulk; otherwise the level goes through the loop.
     """
-    rho = np.asarray(rho, dtype=float).tolist()
+    rho = np.asarray(rho)
     # per reference: critical members ordered by distance, nearest first
-    members: list[list[int]] = [[] for _ in rho]
+    members: list[list[int]] = [[] for _ in range(rho.size)]
     assoc = crit_assoc.tolist()
     for i in np.argsort(crit_dist, kind="stable").tolist():
         members[assoc[i]].append(i)
-    picked: list[int] = []
+    # the starting levels, lowest count last: (count, its references ascending)
+    levels = [(count, list(refs)) for count, refs in
+              groupby(np.argsort(rho, kind="stable").tolist(), rho.tolist().__getitem__)]
+    levels.reverse()
+    low, ties = levels[-1]
+    full = [j for j in ties if members[j]]
+    settle = low == 0 and len(full) < k
+    # the words the loop can use without a rejection: a turn makes at most
+    # two draws and picks, or one and empties a niche still live; a settled
+    # first level reads its skip words before them
+    if settle:
+        skip, left, live = len(ties) - 1, k - len(full), rho.size - len(ties) + len(full)
+    else:
+        skip, left, live = 0, k, rho.size
     saved = rng.bit_generator.state
-    # each turn makes at most two draws and either picks or exhausts a niche
-    words = rng.integers(0, 1 << 32, size=len(rho) + 2 * k, dtype=np.uint32).tolist()
+    words = rng.integers(0, 1 << 32, size=skip + 2 * left + live, dtype=np.uint32)
+    if settle:
+        # the uint32 products keep their low 32 bits; a draw too short to
+        # hold the level's words leaves it to the loop
+        ranges = np.arange(len(ties), 1, -1, dtype=np.uint32)
+        settle = words.size >= skip and bool((words[:skip] * ranges >= ranges).all())
+    if settle:
+        levels.pop()
+        picked = [members[j].pop(0) for j in full]
+        lifted, ties = full, []
+    else:
+        skip = 0
+        picked, lifted, ties = [], [], []
+    words = words[skip:].tolist()
     used = 0
     try:
         while len(picked) < k:
-            low = min(rho)
-            if low == math.inf:
-                raise UsageError("niching ran out of candidates before filling the slots")
-            # references at the lowest niche count, ascending; a visit lifts j
-            # out of this level, so each turn draws from one fewer of them
-            ties = [j for j, count in enumerate(rho) if count == low]
+            if not ties:  # the next level
+                if lifted:
+                    low += 1
+                    if levels and levels[-1][0] == low:
+                        lifted += levels.pop()[1]
+                    lifted.sort()
+                elif levels:
+                    low, lifted = levels.pop()
+                if not lifted:
+                    raise UsageError("niching ran out of candidates before filling the slots")
+                ties, lifted = lifted, []
+            # a visit lifts j out of this level, so each turn draws from one
+            # fewer of its references
             for r in range(len(ties), 0, -1):
+                if len(words) - used < 2:  # a turn reads at most two words
+                    words += _more_words(rng, len(words))
                 t = 0
                 if r > 1:
-                    threshold = (0x100000000 - r) % r
-                    while True:
-                        if used == len(words):
-                            words += rng.integers(0, 1 << 32, size=len(words),
-                                                  dtype=np.uint32).tolist()
-                        m = words[used] * r
-                        used += 1
-                        if m & 0xFFFFFFFF >= threshold:
-                            t = m >> 32
-                            break
+                    m = words[used] * r
+                    used += 1
+                    if m & 0xFFFFFFFF < r:
+                        m, used = _accepted(m, r, words, used, rng)
+                    t = m >> 32
                 j = ties.pop(t)
                 bucket = members[j]
                 if not bucket:
-                    rho[j] = math.inf  # niche exhausted, never revisit
-                    continue
+                    continue  # niche exhausted, never revisit
                 b = 0  # an empty niche's nearest member; integers(1) reads no word
-                if rho[j] != 0 and len(bucket) > 1:
+                if low != 0 and len(bucket) > 1:
                     size = len(bucket)
-                    threshold = (0x100000000 - size) % size
-                    while True:
-                        if used == len(words):
-                            words += rng.integers(0, 1 << 32, size=len(words),
-                                                  dtype=np.uint32).tolist()
-                        m = words[used] * size
-                        used += 1
-                        if m & 0xFFFFFFFF >= threshold:
-                            b = m >> 32
-                            break
+                    m = words[used] * size
+                    used += 1
+                    if m & 0xFFFFFFFF < size:
+                        m, used = _accepted(m, size, words, used, rng)
+                    b = m >> 32
                 picked.append(bucket.pop(b))
-                rho[j] += 1.0
+                lifted.append(j)
                 if len(picked) == k:
                     break
     finally:
         rng.bit_generator.state = saved
-        if used:
-            rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
+        if skip + used:
+            rng.integers(0, 1 << 32, size=skip + used, dtype=np.uint32)
+    picked.sort()
     return picked
 
 
@@ -269,7 +334,7 @@ def _fill(pop: Population, fronts: list[np.ndarray], n: int, refs: ReferencePoin
     assoc, dist = associate(normalized, refs)
     rho = np.bincount(assoc[:k], minlength=len(refs))
     picks = _niche_select(rho, assoc[k:], dist[k:], n - k, rng)
-    chosen = critical[np.sort(np.asarray(picks, dtype=int))]
+    chosen = critical[picks]
     return pop.take(np.concatenate([members[:k], chosen]))
 
 

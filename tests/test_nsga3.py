@@ -380,11 +380,57 @@ class _FewWords(np.random.Generator):
         return super().integers(low, high, size=size, dtype=dtype, endpoint=endpoint)
 
 
+class _PlantedWords(np.random.Generator):
+    """A PCG64 generator whose next 32-bit words are `planted`, then its own.
+
+    Bulk uint32 draws and scalar integers(r), by Lemire's rule, read the same
+    words.  The state counts the planted words read, so restoring a saved
+    state rewinds them too.
+    """
+
+    def __init__(self, seed, planted):
+        super().__init__(np.random.PCG64(seed))
+        self.planted, self.read = list(planted), 0
+
+    @property
+    def bit_generator(self):
+        return self  # callers only save and restore .state
+
+    @property
+    def state(self):
+        return {"read": self.read, "pcg64": super().bit_generator.state}
+
+    @state.setter
+    def state(self, value):
+        self.read = value["read"]
+        super().bit_generator.state = value["pcg64"]
+
+    def _words(self, n):
+        take = self.planted[self.read:self.read + n]
+        self.read += len(take)
+        own = super().integers(0, 1 << 32, size=n - len(take), dtype=np.uint32)
+        return take + own.tolist()
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        if size is not None:  # a bulk draw of words
+            assert (low, high, dtype) == (0, 1 << 32, np.uint32)
+            return np.array(self._words(size), dtype=np.uint32)
+        r = low
+        while r > 1:
+            m = self._words(1)[0] * r
+            if m % (1 << 32) >= ((1 << 32) - r) % r:
+                return m >> 32
+        return 0
+
+
 class TestNicheSelect:
     @staticmethod
-    def check(rho, assoc, dist, k, seed=0, *, zero_word=False, cap=None):
-        rng = np.random.default_rng(seed) if cap is None else _FewWords(seed, cap)
-        oracle_rng = np.random.default_rng(seed)
+    def check(rho, assoc, dist, k, seed=0, *, zero_word=False, cap=None, planted=()):
+        if planted:
+            rng, oracle_rng = _PlantedWords(seed, planted), _PlantedWords(seed, planted)
+        else:
+            rng = np.random.default_rng(seed) if cap is None else _FewWords(seed, cap)
+            oracle_rng = np.random.default_rng(seed)
         if zero_word:
             _zero_word_first(rng)
             _zero_word_first(oracle_rng)
@@ -396,8 +442,8 @@ class TestNicheSelect:
             with pytest.raises(UsageError, match="ran out"):
                 niche_select_oracle(rho.copy(), assoc, dist, k, oracle_rng)
             got = None
-        else:
-            assert got == niche_select_oracle(rho.copy(), assoc, dist, k, oracle_rng)
+        else:  # the same picks, ascending
+            assert got == sorted(niche_select_oracle(rho.copy(), assoc, dist, k, oracle_rng))
         # same draws, in the same order: the whole state, PCG64's buffered
         # 32-bit half included, which the next random() would not read
         assert rng.bit_generator.state == oracle_rng.bit_generator.state
@@ -414,13 +460,94 @@ class TestNicheSelect:
         return rho, assoc, dist, k
 
     def test_zero_counts_and_memberless_niches(self):
-        # ten empty niches, only 0, 2 and 4 have members: the rest go to inf
+        # ten empty niches, only 0, 2 and 4 have members: the rest drop out
         assoc = [0, 2, 4, 0, 2, 4, 0, 2]
         dist = [0.5, 0.1, 0.3, 0.2, 0.1, 0.9, 0.7, 0.4]
+        nearest = {3, 1, 2}  # of niches 0, 2 and 4
         for seed in range(10):
             for k in (1, 3, 5, 8):
-                got = self.check(np.zeros(10), assoc, dist, k, seed)
-                assert set(got[:3]) <= {1, 2, 3}  # nearest of each empty niche first
+                got = set(self.check(np.zeros(10), assoc, dist, k, seed))
+                assert nearest <= got if k >= 3 else got <= nearest
+
+    @staticmethod
+    def filled(n_refs, filled, size, rng):
+        """A critical front of `size` spread over the first `filled` of n_refs niches."""
+        assoc = np.concatenate([np.arange(filled), rng.integers(filled, size=size - filled)])
+        return assoc, rng.random(size)
+
+    def test_first_level_settles(self):
+        rng = np.random.default_rng(15)
+        for seed in range(40):  # fewer filled zero-count niches than slots
+            assoc, dist = self.filled(12, 5, 20, rng)
+            k = int(rng.integers(6, 21))
+            got = self.check(np.zeros(12), assoc, dist, k, seed)
+            nearest = {int(np.flatnonzero(assoc == j)[np.argmin(dist[assoc == j])])
+                       for j in range(5)}
+            assert nearest <= set(got)
+
+    def test_first_level_that_fills_the_slots(self):
+        rng = np.random.default_rng(16)
+        for seed in range(40):  # as many filled zero-count niches as slots, or more
+            filled = int(rng.integers(2, 12))
+            assoc, dist = self.filled(12, filled, 20, rng)
+            self.check(np.zeros(12), assoc, dist, filled - seed % 2, seed)
+
+    def test_one_zero_count_niche(self):
+        rng = np.random.default_rng(17)
+        for seed in range(20):
+            assoc, dist = self.filled(6, int(rng.integers(1, 7)), 15, rng)
+            rho = np.array([1, 2, 0, 1, 3, 2]) if seed % 2 else np.array([2, 1, 0, 1, 1, 2])
+            self.check(rho, assoc, dist, int(rng.integers(1, 16)), seed)
+
+    def test_first_level_below_counts_above_zero(self):
+        rng = np.random.default_rng(18)
+        for seed in range(40):  # the lifted niches merge with those starting at 1
+            rho = rng.integers(0, 3, size=15) * (rng.random(15) < 0.5)
+            assoc, dist = self.filled(15, int(rng.integers(1, 16)), 30, rng)
+            self.check(rho, assoc, dist, int(rng.integers(1, 31)), seed)
+
+    def test_words_run_out_in_the_first_level(self):
+        rng = np.random.default_rng(19)
+        for seed in range(40):  # the first bulk draw holds at most 12 words, the level reads 11
+            assoc, dist = self.filled(12, 6, 20, rng)
+            self.check(np.zeros(12), assoc, dist, int(rng.integers(7, 21)), seed,
+                       cap=int(rng.integers(1, 13)))
+
+    def test_rejected_word_past_the_first(self):
+        rng = np.random.default_rng(20)
+        ties = 12
+        for p in range(1, ties - 1):
+            r = ties - p  # the range of the draw that reads word p
+            if r & (r - 1) == 0:
+                continue  # a power of two rejects no word
+            threshold = (1 << 32) % r
+            rejected = [0]
+            if r % 2:  # also a word below r that Lemire's rule accepts
+                rejected.append(threshold * pow(r, -1, 1 << 32) % (1 << 32))
+            for word in rejected:
+                for seed in range(5):
+                    planted = rng.integers(0, 1 << 32, size=p).tolist() + [word]
+                    assoc, dist = self.filled(ties, 5, 20, rng)
+                    self.check(np.zeros(ties), assoc, dist, int(rng.integers(6, 21)), seed,
+                               planted=planted)
+
+    def test_rejections_run_the_words_out(self):
+        rng = np.random.default_rng(22)
+        for zeros in range(1, 40):  # rejected words from the first on, past the bulk draw
+            planted = [0] * zeros + rng.integers(0, 1 << 32, size=5).tolist()
+            rho = np.array([1, 1, 1, 2]) if zeros % 2 else np.zeros(4)
+            assoc, dist = self.filled(4, 3, 12, rng)
+            self.check(rho, assoc, dist, int(rng.integers(4, 13)), zeros, planted=planted)
+
+    def test_real_sized_first_levels(self):
+        rng = np.random.default_rng(21)
+        for seed in range(200):  # every count 0, k = n, a critical front of 1.05-1.7 n
+            n_refs = int(rng.integers(91, 127))
+            n = int(rng.integers(n_refs, 127))
+            size = int(n * rng.uniform(1.05, 1.7))
+            assoc, dist = self.filled(n_refs, int(rng.integers(n_refs // 4, n_refs + 1)),
+                                      size, rng)
+            self.check(np.zeros(n_refs, dtype=int), assoc, dist, n, seed)
 
     def test_tie_levels_of_one(self):
         for seed in range(10):  # distinct counts: the first levels hold one reference each
