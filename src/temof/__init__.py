@@ -12,9 +12,9 @@ from .core import (ConfigurationError, EvaluationError, Population, ProblemSpec,
                    initialize_population, merge_dedupe, rng_stream)
 from .dominance import pareto_mask, sort_fronts
 from .variation import VariationParams, generate_offspring, mating_pool
-from .nsga3 import (NormalizationState, Nsga3Base, ReferencePointSet, associate,
-                    das_dennis, environmental_selection, first_front_selection,
-                    normalize, nsga3_run, reference_points_for)
+from .nsga3 import (NormalizationState, Nsga3Base, ReferencePointSet, WordStream,
+                    associate, das_dennis, environmental_selection,
+                    first_front_selection, normalize, nsga3_run, reference_points_for)
 from .framework import (FrameworkConfig, GenerationRecord, MatingSource,
                         RunTrace, TemofResult, stage_gate, temof_run)
 from .benchmarks import make_problem, problem_names, sample_true_front
@@ -40,7 +40,7 @@ __all__ = [
     # nsga3
     "ReferencePointSet", "das_dennis", "reference_points_for",
     "NormalizationState", "normalize", "associate", "environmental_selection",
-    "first_front_selection", "Nsga3Base", "nsga3_run",
+    "first_front_selection", "WordStream", "Nsga3Base", "nsga3_run",
     # framework
     "FrameworkConfig", "MatingSource", "stage_gate", "GenerationRecord",
     "RunTrace", "TemofResult", "temof_run",

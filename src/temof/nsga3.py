@@ -105,6 +105,16 @@ class NormalizationState:
     def __init__(self) -> None:
         self.ideal: np.ndarray | None = None
 
+    def lower(self, f: np.ndarray) -> np.ndarray:
+        """Lower the running ideal to the column minima of f, and return it."""
+        if f.shape[0] == 0:
+            raise UsageError("cannot normalize an empty objective set")
+        ideal = f.min(axis=0)
+        if self.ideal is not None:
+            ideal = np.minimum(ideal, self.ideal)
+        self.ideal = ideal
+        return ideal
+
 
 def normalize(objs: np.ndarray, state: NormalizationState) -> np.ndarray:
     """Translate by the running ideal point and scale by hyperplane intercepts.
@@ -116,13 +126,8 @@ def normalize(objs: np.ndarray, state: NormalizationState) -> np.ndarray:
     ideal only ever decreases; it is the only state kept between calls.
     """
     f = np.atleast_2d(np.asarray(objs, dtype=float))
-    if f.shape[0] == 0:
-        raise UsageError("cannot normalize an empty objective set")
     m = f.shape[1]
-    ideal = f.min(axis=0)
-    if state.ideal is not None:
-        ideal = np.minimum(ideal, state.ideal)
-    shifted = f - ideal
+    shifted = f - state.lower(f)
     weights = np.full((m, m), 1e-6)
     np.fill_diagonal(weights, 1.0)
     # asf[j, i]: scalarized value of point i for axis j, the max taken one
@@ -144,7 +149,6 @@ def normalize(objs: np.ndarray, state: NormalizationState) -> np.ndarray:
     if intercepts is None:
         intercepts = shifted.max(axis=0)
     intercepts = np.maximum(intercepts, INTERCEPT_FLOOR)
-    state.ideal = ideal
     return shifted / intercepts
 
 
@@ -179,49 +183,81 @@ def associate(normalized: np.ndarray, refs: ReferencePointSet) -> tuple[np.ndarr
     return idx, np.sqrt(np.add.reduce(resid * resid, axis=1))
 
 
-def _more_words(rng: np.random.Generator, size: int) -> list[int]:
-    """size + 2 more 32-bit words from rng, as Python ints."""
-    return rng.integers(0, 1 << 32, size=size + 2, dtype=np.uint32).tolist()
+class WordStream:
+    """The 32-bit words of one generator, read strictly in order.
+
+    integers(0, 2**32, dtype=uint32) returns a generator's next 32-bit
+    outputs, and draws of any size continue one another, so the words are
+    drawn in blocks of at least BLOCK.  block holds the words drawn and not
+    yet dropped, words the same as Python ints, and the unread ones start at
+    index pos of both.  A reader consumes words by moving pos, and leaves
+    the stream where the generator's own scalar draws would have left it.
+    """
+
+    BLOCK = 4096
+    __slots__ = ("rng", "block", "words", "pos")
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.block = np.empty(0, dtype=np.uint32)
+        self.words: list[int] = []
+        self.pos = 0
+
+    def reserve(self, count: int) -> None:
+        """Hold at least count unread words, drawing max(count, BLOCK) more if not.
+
+        words stays the same list, so a reader may keep it; pos moves to 0.
+        """
+        if len(self.words) - self.pos < count:
+            more = self.rng.integers(0, 1 << 32, size=max(count, self.BLOCK), dtype=np.uint32)
+            self.block = np.concatenate([self.block[self.pos:], more])
+            del self.words[:self.pos]
+            self.words += more.tolist()
+            self.pos = 0
 
 
-def _accepted(m: int, r: int, words: list[int], used: int,
-              rng: np.random.Generator) -> tuple[int, int]:
+def _accepted(m: int, r: int, turns: int, stream: WordStream, used: int) -> tuple[int, int]:
     """Finish a draw below r whose product m = word * r has low 32 bits below r.
 
     Lemire's rule accepts m when those bits reach (2**32 - r) % r, which is
-    below r, and otherwise reads the next word.  Returns the accepted
-    product and the words used so far; it leaves at least one word unread.
+    below r, and otherwise reads the next word.  Before each such word the
+    stream holds again what a level of `turns` visits reserves, so the rest
+    of the level still finds its words.  Returns the accepted product and
+    the read position, which a refill moves.
     """
     threshold = (0x100000000 - r) % r
+    words = stream.words
     while m & 0xFFFFFFFF < threshold:
-        if len(words) - used < 2:
-            words += _more_words(rng, len(words))
+        stream.pos = used
+        stream.reserve(2 * turns + 2)
+        used = stream.pos
         m = words[used] * r
         used += 1
     return m, used
 
 
 def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray,
-                  k: int, rng: np.random.Generator) -> list[int]:
+                  k: int, stream: WordStream) -> list[int]:
     """Pick k critical-front members by Deb's niching loop.
 
     rho holds the whole-number niche count of each reference point (from the
     already selected members).  Returns indices into the critical front
     arrays, ascending.  The loop visits one level of tied counts at a time,
     in a random order: the draws are rng.integers(len(ties)) and, above
-    count 0, rng.integers(len(bucket)) in loop order.  Levels after the
-    first hold the references the last level lifted and those whose
-    starting count is one higher.
+    count 0, rng.integers(len(bucket)) in loop order, for the generator
+    that the stream reads.  Levels after the first hold the references the
+    last level lifted and those whose starting count is one higher.
 
     numpy draws integers(r) for 1 < r < 2**32 by Lemire's rule on the next
     32-bit output: m = word * r is accepted when its low 32 bits are at
     least (2**32 - r) % r, and the draw is m >> 32; a rejected word is
     skipped, and r == 1 reads no word.  As (2**32 - r) % r < r, a product
     whose low 32 bits reach r is accepted at once; only one below r needs
-    the exact test (_accepted).  The loop applies that rule inline to words
-    drawn in bulk, then rewinds the generator and redraws exactly the words
-    used, so it ends where the scalar calls would have left it, also when
-    the loop raises.
+    the exact test (_accepted).  The loop applies that rule inline to the
+    stream's words, in order, so the stream ends where the scalar calls
+    would have left the generator, also when the loop raises.  A visit
+    reads at most two words without a rejection, so each level reserves
+    two per reference, and two more, once.
 
     A first level at count 0 settles in one step when fewer of its niches
     hold members than there are slots: no visit there draws a member, so
@@ -242,105 +278,97 @@ def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray
     levels.reverse()
     low, ties = levels[-1]
     full = [j for j in ties if members[j]]
-    settle = low == 0 and len(full) < k
-    # the words the loop can use without a rejection: a turn makes at most
-    # two draws and picks, or one and empties a niche still live; a settled
-    # first level reads its skip words before them
-    if settle:
-        skip, left, live = len(ties) - 1, k - len(full), rho.size - len(ties) + len(full)
-    else:
-        skip, left, live = 0, k, rho.size
-    saved = rng.bit_generator.state
-    words = rng.integers(0, 1 << 32, size=skip + 2 * left + live, dtype=np.uint32)
-    if settle:
-        # the uint32 products keep their low 32 bits; a draw too short to
-        # hold the level's words leaves it to the loop
+    picked: list[int] = []
+    lifted: list[int] = []
+    if low == 0 and len(full) < k:
+        skip = len(ties) - 1
+        stream.reserve(skip)
+        pos = stream.pos
+        # the uint32 products keep their low 32 bits
         ranges = np.arange(len(ties), 1, -1, dtype=np.uint32)
-        settle = words.size >= skip and bool((words[:skip] * ranges >= ranges).all())
-    if settle:
-        levels.pop()
-        picked = [members[j].pop(0) for j in full]
-        lifted, ties = full, []
-    else:
-        skip = 0
-        picked, lifted, ties = [], [], []
-    words = words[skip:].tolist()
-    used = 0
+        if (stream.block[pos:pos + skip] * ranges >= ranges).all():
+            stream.pos = pos + skip
+            levels.pop()
+            picked = [members[j].pop(0) for j in full]
+            lifted = full
+    words = stream.words
+    used = stream.pos
     try:
-        while len(picked) < k:
-            if not ties:  # the next level
-                if lifted:
-                    low += 1
-                    if levels and levels[-1][0] == low:
-                        lifted += levels.pop()[1]
-                    lifted.sort()
-                elif levels:
-                    low, lifted = levels.pop()
-                if not lifted:
-                    raise UsageError("niching ran out of candidates before filling the slots")
-                ties, lifted = lifted, []
+        while len(picked) < k:  # one level per turn
+            if lifted:
+                low += 1
+                if levels and levels[-1][0] == low:
+                    lifted += levels.pop()[1]
+                lifted.sort()
+            elif levels:
+                low, lifted = levels.pop()
+            if not lifted:
+                raise UsageError("niching ran out of candidates before filling the slots")
+            ties, lifted = lifted, []
+            stream.pos = used
+            stream.reserve(2 * len(ties) + 2)
+            used = stream.pos
+            take = ties.pop
+            drawn = low != 0  # an empty niche gives its nearest member
             # a visit lifts j out of this level, so each turn draws from one
             # fewer of its references
             for r in range(len(ties), 0, -1):
-                if len(words) - used < 2:  # a turn reads at most two words
-                    words += _more_words(rng, len(words))
                 t = 0
                 if r > 1:
                     m = words[used] * r
                     used += 1
                     if m & 0xFFFFFFFF < r:
-                        m, used = _accepted(m, r, words, used, rng)
+                        m, used = _accepted(m, r, r, stream, used)
                     t = m >> 32
-                j = ties.pop(t)
+                j = take(t)
                 bucket = members[j]
                 if not bucket:
                     continue  # niche exhausted, never revisit
-                b = 0  # an empty niche's nearest member; integers(1) reads no word
-                if low != 0 and len(bucket) > 1:
+                b = 0  # integers(1) reads no word
+                if drawn and len(bucket) > 1:
                     size = len(bucket)
                     m = words[used] * size
                     used += 1
                     if m & 0xFFFFFFFF < size:
-                        m, used = _accepted(m, size, words, used, rng)
+                        m, used = _accepted(m, size, r, stream, used)
                     b = m >> 32
                 picked.append(bucket.pop(b))
                 lifted.append(j)
                 if len(picked) == k:
                     break
     finally:
-        rng.bit_generator.state = saved
-        if skip + used:
-            rng.integers(0, 1 << 32, size=skip + used, dtype=np.uint32)
+        stream.pos = used
     picked.sort()
     return picked
 
 
 def _fill(pop: Population, fronts: list[np.ndarray], n: int, refs: ReferencePointSet,
-          state: NormalizationState, rng: np.random.Generator) -> Population:
+          state: NormalizationState, stream: WordStream) -> Population:
     """Keep whole fronts, then niche the last front down to what is left of n.
 
-    Normalization runs over every member of the fronts, so the running ideal
-    advances even when nothing is niched.  Niche counts start from the
+    The running ideal takes in every member of the fronts, also when they
+    fit in n and nothing is normalized.  Niche counts start from the
     associations of the fronts kept whole.
     """
     if n < 1:
         raise UsageError(f"selection size must be >= 1, got {n}")
     members = np.concatenate(fronts)
-    normalized = normalize(pop.f[members], state)
     if members.size <= n:
+        state.lower(pop.f[members])
         return pop.take(members)
+    normalized = normalize(pop.f[members], state)
     critical = fronts[-1]
     k = members.size - critical.size
     assoc, dist = associate(normalized, refs)
     rho = np.bincount(assoc[:k], minlength=len(refs))
-    picks = _niche_select(rho, assoc[k:], dist[k:], n - k, rng)
+    picks = _niche_select(rho, assoc[k:], dist[k:], n - k, stream)
     chosen = critical[picks]
     return pop.take(np.concatenate([members[:k], chosen]))
 
 
 def environmental_selection(pop: Population, n: int, refs: ReferencePointSet,
                             state: NormalizationState,
-                            rng: np.random.Generator) -> Population:
+                            stream: WordStream) -> Population:
     """Front-wise selection with reference-point niching on the critical front.
 
     Returns min(n, len(pop)) members; the normalization state is advanced
@@ -348,18 +376,18 @@ def environmental_selection(pop: Population, n: int, refs: ReferencePointSet,
     """
     # a population that fits is kept in its own order, unsorted
     fronts = sort_fronts(pop.f, cover=n) if len(pop) > n else [np.arange(len(pop))]
-    return _fill(pop, fronts, n, refs, state, rng)
+    return _fill(pop, fronts, n, refs, state, stream)
 
 
 def first_front_selection(pop: Population, n: int, refs: ReferencePointSet,
                           state: NormalizationState,
-                          rng: np.random.Generator) -> Population:
+                          stream: WordStream) -> Population:
     """Keep only the first front, niching it down to n if it is larger.
 
     May return fewer than n members; the result is always mutually
     non-dominated.
     """
-    return _fill(pop, sort_fronts(pop.f, cover=1), n, refs, state, rng)
+    return _fill(pop, sort_fronts(pop.f, cover=1), n, refs, state, stream)
 
 
 class Nsga3Base:
@@ -367,7 +395,7 @@ class Nsga3Base:
 
     Bundles the reference set sized to the population, a shared
     normalization state (the running ideal spans both selection variants),
-    and the niching RNG stream.
+    and the word stream of the niching generator, which nothing else reads.
     """
 
     def __init__(self, problem: ProblemSpec, n: int, rng: np.random.Generator):
@@ -377,13 +405,13 @@ class Nsga3Base:
                 f"reference directions cannot be built")
         self.refs = reference_points_for(n, problem.n_obj)
         self.state = NormalizationState()
-        self.rng = rng
+        self.words = WordStream(rng)
 
     def environmental_selection(self, pop: Population, n: int) -> Population:
-        return environmental_selection(pop, n, self.refs, self.state, self.rng)
+        return environmental_selection(pop, n, self.refs, self.state, self.words)
 
     def first_front_selection(self, pop: Population, n: int) -> Population:
-        return first_front_selection(pop, n, self.refs, self.state, self.rng)
+        return first_front_selection(pop, n, self.refs, self.state, self.words)
 
 
 def nsga3_run(problem: ProblemSpec, n: int, max_fes: int, seed: RngKey | int,

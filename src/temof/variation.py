@@ -60,8 +60,9 @@ def sbx_batch(p1: np.ndarray, p2: np.ndarray, params: VariationParams,
     p2 = np.atleast_2d(np.asarray(p2, dtype=float))
     if p1.shape != p2.shape:
         raise UsageError(f"parent shapes differ: {p1.shape} vs {p2.shape}")
-    do = rng.random(p1.shape) < params.pc
-    u = rng.random(p1.shape)
+    # Generator.random fills in order: the planes are the two draws of p1's shape
+    do, u = rng.random((2, *p1.shape))
+    do = do < params.pc
     exp = 1.0 / (params.eta_c + 1.0)
     beta = np.where(u <= 0.5, 2.0 * u, 0.5 / (1.0 - u)) ** exp
     beta = np.where(do, beta, 1.0)  # beta == 1 leaves both children on the parents
@@ -83,8 +84,9 @@ def mutate_batch(x: np.ndarray, params: VariationParams,
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     pm = params.mutation_prob(x.shape[1])
-    rows, cols = np.nonzero(rng.random(x.shape) < pm)
-    u = rng.random(x.shape)[rows, cols]
+    sites, u = rng.random((2, *x.shape))  # as two draws of x's shape, in order
+    rows, cols = np.nonzero(sites < pm)
+    u = u[rows, cols]
     xs, lo, up = x[rows, cols], lower[cols], upper[cols]
     span = up - lo
     d1 = (xs - lo) / span
@@ -110,6 +112,6 @@ def generate_offspring(source: Population, n: int, params: VariationParams,
     pairs = mating_pool(source, n, rng)
     c1, c2 = sbx_batch(source.x[pairs[:, 0]], source.x[pairs[:, 1]],
                        params, problem.lower, problem.upper, rng)
-    children = np.vstack([c1, c2])[:n]
+    children = np.concatenate([c1, c2])[:n]
     children = mutate_batch(children, params, problem.lower, problem.upper, rng)
     return Population(children, problem.evaluate_batch(children))

@@ -940,6 +940,20 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == f"error: {message.format(out=out)}\n"
 
+    def test_resume_after_a_version_bump_is_an_error(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        argv = ["run", "--problem", "ZDT1", "--algo", "nsga3", "--seeds", "2", "--n", "10",
+                "--max-fes", "20", "--metrics", "IGD", "--out", str(out), "--quiet"]
+        assert cli_main(argv) == 0
+        before, version = (out / "runs.csv").read_bytes(), harness.__version__
+        monkeypatch.setattr(harness, "__version__", version + "+bumped")
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out} holds results of temof {version!r}, not of this version "
+            f"{version + '+bumped'!r}; choose another output_dir\n")
+        assert (out / "runs.csv").read_bytes() == before
+
     def test_run_with_flags_and_reports(self, tmp_path, capsys):
         out = tmp_path / "exp"
         rc = cli_main(["run", "--problem", "ZDT1", "--algo", "nsga3",

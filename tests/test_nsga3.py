@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from temof import (ConfigurationError, FrameworkConfig, NormalizationState, Nsga3Base,
-                   Population, ReferencePointSet, UsageError, associate, das_dennis,
-                   environmental_selection, first_front_selection, make_problem,
-                   normalize, nsga3_run, reference_points_for, rng_stream,
-                   sort_fronts, temof_run)
-from temof.nsga3 import _niche_select, choose_divisions
+                   Population, ReferencePointSet, UsageError, WordStream, associate,
+                   das_dennis, environmental_selection, first_front_selection,
+                   make_problem, normalize, nsga3, nsga3_run, reference_points_for,
+                   rng_stream, sort_fronts, temof_run)
+from temof.nsga3 import _fill, _niche_select, choose_divisions
 
 
 class TestDasDennis:
@@ -264,7 +264,7 @@ class TestEnvironmentalSelection:
         refs = das_dennis(2, 4)
         state = NormalizationState()
         pop = _evaluated([[1.0, 2.0], [2.0, 1.0]])
-        out = environmental_selection(pop, 5, refs, state, np.random.default_rng(0))
+        out = environmental_selection(pop, 5, refs, state, WordStream(np.random.default_rng(0)))
         assert len(out) == 2
         assert state.ideal is not None  # state still advances
 
@@ -273,7 +273,7 @@ class TestEnvironmentalSelection:
         f = rng.random((50, 3))
         pop = Population(np.zeros((50, 3)), f)
         refs = das_dennis(3, 5)
-        out = environmental_selection(pop, 20, refs, NormalizationState(), rng)
+        out = environmental_selection(pop, 20, refs, NormalizationState(), WordStream(rng))
         assert len(out) == 20
         ranks_all = {tuple(row): r for r, front in enumerate(sort_fronts(f))
                      for row in f[front]}
@@ -291,7 +291,7 @@ class TestEnvironmentalSelection:
         pop = _evaluated(pts)
         for seed in range(5):  # RNG only affects the order niches are visited
             out = first_front_selection(pop, 2, refs, NormalizationState(),
-                                        np.random.default_rng(seed))
+                                        WordStream(np.random.default_rng(seed)))
             chosen = {tuple(row) for row in out.objectives}
             assert chosen == {(0.8, 0.2), (0.18, 0.82)}
 
@@ -299,8 +299,9 @@ class TestEnvironmentalSelection:
         rng = np.random.default_rng(4)
         pop = Population(np.zeros((37, 3)), rng.random((37, 3)))
         refs = das_dennis(3, 4)
+        words = WordStream(rng)
         for n in (1, 5, 36, 37):
-            out = environmental_selection(pop, n, refs, NormalizationState(), rng)
+            out = environmental_selection(pop, n, refs, NormalizationState(), words)
             assert len(out) == min(n, 37)
 
     def test_determinism(self):
@@ -309,9 +310,9 @@ class TestEnvironmentalSelection:
         pop = Population(np.zeros((60, 3)), f)
         refs = das_dennis(3, 6)
         a = environmental_selection(pop, 25, refs, NormalizationState(),
-                                    np.random.default_rng(77))
+                                    WordStream(np.random.default_rng(77)))
         b = environmental_selection(pop, 25, refs, NormalizationState(),
-                                    np.random.default_rng(77))
+                                    WordStream(np.random.default_rng(77)))
         assert np.array_equal(a.f, b.f)
 
 
@@ -322,8 +323,39 @@ def test_selection_size_checked_before_normalizing(select):
     ideal = state.ideal.copy()
     pop = _evaluated([[0.0, 2.0], [2.0, 0.0], [3.0, 3.0]])  # below the running ideal
     with pytest.raises(UsageError, match="selection size must be >= 1, got 0"):
-        select(pop, 0, das_dennis(2, 4), state, np.random.default_rng(0))
+        select(pop, 0, das_dennis(2, 4), state, WordStream(np.random.default_rng(0)))
     assert np.array_equal(state.ideal, ideal)
+
+
+
+def test_fronts_that_fit_lower_the_ideal_as_normalize_does():
+    rng = np.random.default_rng(26)
+    mixed = 0
+    for trial in range(300):
+        size, m = int(rng.integers(1, 30)), int(rng.integers(2, 6))
+        # columns that mix 0.0 and -0.0, where the sign of a zero minimum
+        # depends on how it is taken
+        if trial % 2:
+            f = rng.choice([0.0, -0.0, 1.0, 2.0], size=(size, m))
+        else:
+            f = rng.random((size, m))
+        mixed += bool(trial % 2 and (np.signbit(f) & (f == 0)).any())
+        pop = Population(np.arange(2.0 * size).reshape(size, 2), f)
+        state, state2 = NormalizationState(), NormalizationState()
+        if trial % 3:  # start from an earlier ideal point, zeros of either sign too
+            start = rng.choice([0.0, -0.0, 0.5], size=(2, m))
+            normalize(start, state)
+            normalize(start, state2)
+        fronts = sort_fronts(f)
+        members = np.concatenate(fronts)
+        words = WordStream(np.random.default_rng(trial))
+        out = _fill(pop, fronts, size + int(rng.integers(0, 3)), das_dennis(m, 2), state, words)
+        assert words.pos == 0 and words.words == []  # nothing niched, no word read
+        normalize(f[members], state2)
+        assert state.ideal.tobytes() == state2.ideal.tobytes()
+        assert out.x.tobytes() == pop.x[members].tobytes()
+        assert out.f.tobytes() == f[members].tobytes()
+    assert mixed > 100
 
 
 def niche_select_oracle(rho, crit_assoc, crit_dist, k, rng):
@@ -367,53 +399,50 @@ def _zero_word_first(rng):
     return rng
 
 
-class _FewWords(np.random.Generator):
-    """A PCG64 generator whose first bulk draw returns at most `cap` words."""
+class _Counted(np.random.Generator):
+    """A PCG64 generator that counts the 32-bit words its bulk draws return."""
 
-    def __init__(self, seed, cap):
+    def __init__(self, seed):
         super().__init__(np.random.PCG64(seed))
-        self.cap = cap
+        self.drawn = 0
 
     def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
-        if self.cap is not None and size is not None:
-            size, self.cap = min(size, self.cap), None
+        if size is not None:  # a bulk draw of words
+            assert (low, high, dtype) == (0, 1 << 32, np.uint32)
+            self.drawn += size
         return super().integers(low, high, size=size, dtype=dtype, endpoint=endpoint)
 
 
-class _PlantedWords(np.random.Generator):
-    """A PCG64 generator whose next 32-bit words are `planted`, then its own.
+class _PlantedWords(_Counted):
+    """A counted PCG64 generator whose next 32-bit words are `planted`, then its own.
 
     Bulk uint32 draws and scalar integers(r), by Lemire's rule, read the same
-    words.  The state counts the planted words read, so restoring a saved
-    state rewinds them too.
+    words.  Its state counts the planted words read.
     """
 
     def __init__(self, seed, planted):
-        super().__init__(np.random.PCG64(seed))
+        super().__init__(seed)
         self.planted, self.read = list(planted), 0
 
     @property
     def bit_generator(self):
-        return self  # callers only save and restore .state
+        return self  # callers only read .state
 
     @property
     def state(self):
         return {"read": self.read, "pcg64": super().bit_generator.state}
 
-    @state.setter
-    def state(self, value):
-        self.read = value["read"]
-        super().bit_generator.state = value["pcg64"]
-
     def _words(self, n):
         take = self.planted[self.read:self.read + n]
         self.read += len(take)
-        own = super().integers(0, 1 << 32, size=n - len(take), dtype=np.uint32)
+        own = np.random.Generator.integers(self, 0, 1 << 32, size=n - len(take),
+                                           dtype=np.uint32)
         return take + own.tolist()
 
     def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
         if size is not None:  # a bulk draw of words
             assert (low, high, dtype) == (0, 1 << 32, np.uint32)
+            self.drawn += size
             return np.array(self._words(size), dtype=np.uint32)
         r = low
         while r > 1:
@@ -423,30 +452,58 @@ class _PlantedWords(np.random.Generator):
         return 0
 
 
+def _words_read(stream):
+    """The words that readers of the stream took from its counted generator."""
+    return stream.rng.drawn - (len(stream.words) - stream.pos)
+
+
+def _read_as(make, stream, oracle_rng):
+    """Whether the stream read the oracle's words: a fresh make() advanced by
+    as many 32-bit draws as the stream read ends in the oracle's state, PCG64's
+    buffered 32-bit half included, which the next random() would not read."""
+    fresh = make()
+    fresh.integers(0, 1 << 32, size=_words_read(stream), dtype=np.uint32)
+    return fresh.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """WordStream draws 3 words at a time, or what one reserve asks for."""
+    monkeypatch.setattr(WordStream, "BLOCK", 3)
+
+
 class TestNicheSelect:
     @staticmethod
-    def check(rho, assoc, dist, k, seed=0, *, zero_word=False, cap=None, planted=()):
-        if planted:
-            rng, oracle_rng = _PlantedWords(seed, planted), _PlantedWords(seed, planted)
-        else:
-            rng = np.random.default_rng(seed) if cap is None else _FewWords(seed, cap)
-            oracle_rng = np.random.default_rng(seed)
-        if zero_word:
-            _zero_word_first(rng)
-            _zero_word_first(oracle_rng)
+    def generators(seed, zero_word=False, planted=()):
+        """make() for a counted generator and an oracle generator made by it."""
+        def make():
+            if planted:
+                return _PlantedWords(seed, planted)
+            rng = _Counted(seed)
+            return _zero_word_first(rng) if zero_word else rng
+        return make, make()
+
+    @classmethod
+    def check(cls, rho, assoc, dist, k, seed=0, *, zero_word=False, planted=()):
+        make, oracle_rng = cls.generators(seed, zero_word, planted)
+        stream = WordStream(make())
+        got = cls.step(stream, oracle_rng, rho, assoc, dist, k)
+        assert _read_as(make, stream, oracle_rng)
+        return got
+
+    @staticmethod
+    def step(stream, oracle_rng, rho, assoc, dist, k):
+        """One call on the stream and on the oracle: the same picks, ascending,
+        or both run out (None)."""
         rho = np.asarray(rho, dtype=float)
         assoc, dist = np.asarray(assoc), np.asarray(dist, dtype=float)
         try:
-            got = _niche_select(rho.copy(), assoc, dist, k, rng)
+            got = _niche_select(rho.copy(), assoc, dist, k, stream)
         except UsageError:
             with pytest.raises(UsageError, match="ran out"):
                 niche_select_oracle(rho.copy(), assoc, dist, k, oracle_rng)
-            got = None
-        else:  # the same picks, ascending
-            assert got == sorted(niche_select_oracle(rho.copy(), assoc, dist, k, oracle_rng))
-        # same draws, in the same order: the whole state, PCG64's buffered
-        # 32-bit half included, which the next random() would not read
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            return None
+        assert got == sorted(niche_select_oracle(rho.copy(), assoc, dist, k, oracle_rng))
         return got
 
     @staticmethod
@@ -506,12 +563,11 @@ class TestNicheSelect:
             assoc, dist = self.filled(15, int(rng.integers(1, 16)), 30, rng)
             self.check(rho, assoc, dist, int(rng.integers(1, 31)), seed)
 
-    def test_words_run_out_in_the_first_level(self):
+    def test_words_run_out_in_the_first_level(self, small_blocks):
         rng = np.random.default_rng(19)
-        for seed in range(40):  # the first bulk draw holds at most 12 words, the level reads 11
+        for seed in range(40):  # each draw holds what the level asks for, no more
             assoc, dist = self.filled(12, 6, 20, rng)
-            self.check(np.zeros(12), assoc, dist, int(rng.integers(7, 21)), seed,
-                       cap=int(rng.integers(1, 13)))
+            self.check(np.zeros(12), assoc, dist, int(rng.integers(7, 21)), seed)
 
     def test_rejected_word_past_the_first(self):
         rng = np.random.default_rng(20)
@@ -531,9 +587,27 @@ class TestNicheSelect:
                     self.check(np.zeros(ties), assoc, dist, int(rng.integers(6, 21)), seed,
                                planted=planted)
 
-    def test_rejections_run_the_words_out(self):
+    def test_rejected_word_after_a_refill(self, small_blocks):
+        # words read before the call make its first level's refill drop them,
+        # and the bulk check must still find the rejected word
+        rng = np.random.default_rng(27)
+        ties = 12
+        for before in range(1, 6):
+            for p in (1, 5, 9):  # the word read below r = 11, 7 and 3
+                planted = rng.integers(0, 1 << 32, size=before + p).tolist() + [0]
+                make, oracle_rng = self.generators(before, planted=planted)
+                stream = WordStream(make())
+                stream.reserve(before)
+                stream.pos += before
+                oracle_rng.integers(0, 1 << 32, size=before, dtype=np.uint32)
+                assoc, dist = self.filled(ties, 5, 20, rng)
+                self.step(stream, oracle_rng, np.zeros(ties), assoc, dist,
+                          int(rng.integers(6, 21)))
+                assert _read_as(make, stream, oracle_rng)
+
+    def test_rejections_run_the_words_out(self, small_blocks):
         rng = np.random.default_rng(22)
-        for zeros in range(1, 40):  # rejected words from the first on, past the bulk draw
+        for zeros in range(1, 40):  # rejected words from the first on, past each draw
             planted = [0] * zeros + rng.integers(0, 1 << 32, size=5).tolist()
             rho = np.array([1, 1, 1, 2]) if zeros % 2 else np.zeros(4)
             assoc, dist = self.filled(4, 3, 12, rng)
@@ -581,68 +655,116 @@ class TestNicheSelect:
         for seed in range(50):
             self.check(*self.random_instance(rng), seed, zero_word=True)
 
-    def test_words_refill_when_used_up(self):
+    def test_words_refill_when_used_up(self, small_blocks):
         rng = np.random.default_rng(13)
         for seed in range(50):
-            self.check(*self.random_instance(rng), seed, cap=int(rng.integers(1, 4)),
-                       zero_word=bool(seed % 2))
+            self.check(*self.random_instance(rng), seed, zero_word=bool(seed % 2))
 
     def test_too_few_candidates(self):
-        states = []
-        for select in (_niche_select, niche_select_oracle):
-            rng = np.random.default_rng(0)
-            with pytest.raises(UsageError, match="ran out"):
-                select(np.zeros(3), np.array([0, 1]), np.array([0.1, 0.2]), 3, rng)
-            states.append(rng.bit_generator.state)
-        assert states[0] == states[1]  # the failed call's draws are still consumed
+        assert self.check(np.zeros(3), [0, 1], [0.1, 0.2], 3) is None
+        rng = np.random.default_rng(0)
+        with pytest.raises(UsageError, match="ran out"):
+            niche_select_oracle(np.zeros(3), np.array([0, 1]), np.array([0.1, 0.2]), 3, rng)
+        assert rng.bit_generator.state != np.random.default_rng(0).bit_generator.state
 
-    def test_generator_rewinds_when_the_loop_raises(self):
+    def test_stream_stops_at_the_words_read_when_the_loop_raises(self):
         rng = np.random.default_rng(14)
         for seed in range(50):  # more slots than candidates: every case runs out
             instance = self.random_instance(rng, short=True)
             assert self.check(*instance, seed) is None
-            assert self.check(*instance, seed, zero_word=True, cap=2) is None
+            assert self.check(*instance, seed, zero_word=True) is None
+
+    @staticmethod
+    def calls(rng, count):
+        """count random instances, the odd ones with more slots than candidates."""
+        return [TestNicheSelect.random_instance(rng, short=bool(i % 2)) for i in range(count)]
+
+    def test_error_mid_loop_leaves_the_stream_at_the_words_read(self, small_blocks):
+        rng = np.random.default_rng(23)
+        raised = 0
+        for seed in range(30):  # the calls of a run share one stream
+            make, oracle_rng = self.generators(seed, zero_word=bool(seed % 2))
+            stream = WordStream(make())
+            for instance in self.calls(rng, 6):
+                if self.step(stream, oracle_rng, *instance) is None:
+                    raised += 1
+                assert _read_as(make, stream, oracle_rng)
+        assert raised > 0
+
+    def test_a_level_reads_words_of_two_draws(self, small_blocks, monkeypatch):
+        held = []  # unread words at each draw: a level's words straddle two draws
+        reserve = WordStream.reserve
+
+        def spy(stream, count):
+            if len(stream.words) - stream.pos < count:
+                held.append(len(stream.words) - stream.pos)
+            reserve(stream, count)
+
+        monkeypatch.setattr(WordStream, "reserve", spy)
+        rng = np.random.default_rng(24)
+        for seed in range(30):
+            make, oracle_rng = self.generators(seed)
+            stream = WordStream(make())
+            for instance in self.calls(rng, 4):
+                self.step(stream, oracle_rng, *instance)
+            assert _read_as(make, stream, oracle_rng)
+        assert any(held)
+
+    def test_a_rejection_refills_the_stream(self, small_blocks, monkeypatch):
+        refilled = []  # whether an _accepted call drew from the generator
+        accepted = nsga3._accepted
+
+        def spy(m, r, turns, stream, used):
+            drawn = stream.rng.drawn
+            out = accepted(m, r, turns, stream, used)
+            refilled.append(stream.rng.drawn > drawn)
+            return out
+
+        monkeypatch.setattr(nsga3, "_accepted", spy)
+        rng = np.random.default_rng(25)
+        for zeros in range(1, 12):  # each word 0 is rejected below 3 and 5
+            for seed in range(5):
+                planted = rng.integers(0, 1 << 32, size=seed).tolist() + [0] * zeros
+                assoc, dist = self.filled(5, 4, 15, rng)
+                rho = np.array([0, 0, 0, 1, 1]) if seed % 2 else np.zeros(5)
+                self.check(rho, assoc, dist, int(rng.integers(3, 16)), seed, planted=planted)
+        assert any(refilled) and not all(refilled)
 
 
-def lemire_replay(rng, ranges, bulk):
-    """rng.integers(r) for each r, by Lemire's rule on 32-bit words drawn in bulk.
+def lemire_replay(stream, ranges):
+    """rng.integers(r) for each r, by Lemire's rule on the stream's 32-bit words.
 
-    Words come `bulk` at a time from integers(0, 2**32, dtype=uint32): m =
-    word * r is accepted when m % 2**32 >= (2**32 - r) % r, and the draw is
-    m >> 32; r == 1 reads no word.  Afterwards, also when `ranges` raises,
-    the generator is rewound and redraws exactly the words used.  This is the
-    rule _niche_select applies inline.
+    m = word * r is accepted when m % 2**32 >= (2**32 - r) % r, and the draw
+    is m >> 32; r == 1 reads no word.  The stream's position stays at the
+    words used, also when `ranges` raises.  This is the rule _niche_select
+    applies inline.
     """
-    saved = rng.bit_generator.state
-    words, used, draws = [], 0, []
-    try:
-        for r in ranges:
-            if r == 1:
-                draws.append(0)
-                continue
-            while True:
-                if used == len(words):
-                    words += rng.integers(0, 1 << 32, size=bulk, dtype=np.uint32).tolist()
-                m = words[used] * r
-                used += 1
-                if m % (1 << 32) >= (2**32 - r) % r:
-                    draws.append(m >> 32)
-                    break
-    finally:
-        rng.bit_generator.state = saved
-        if used:
-            rng.integers(0, 1 << 32, size=used, dtype=np.uint32)
+    draws = []
+    for r in ranges:
+        if r == 1:
+            draws.append(0)
+            continue
+        while True:
+            stream.reserve(1)
+            m = stream.words[stream.pos] * r
+            stream.pos += 1
+            if m % (1 << 32) >= (2**32 - r) % r:
+                draws.append(m >> 32)
+                break
     return draws
 
 
-def _scalar_and_replayed(rng, ranges, bulk):
-    """(scalar integers(r) draws, final state) and the same from lemire_replay."""
-    start = rng.bit_generator.state
-    scalar = [int(rng.integers(r)) for r in ranges]
-    scalar_state = rng.bit_generator.state
-    rng.bit_generator.state = start
-    replayed = lemire_replay(rng, ranges, bulk)
-    return (scalar, scalar_state), (replayed, rng.bit_generator.state)
+def _scalar_and_replayed(make, ranges, block):
+    """Whether lemire_replay on a stream of make() that draws `block` words at a
+    time gives make()'s scalar integers(r) draws and reads their words."""
+    scalar_rng = make()
+    scalar = [int(scalar_rng.integers(r)) for r in ranges]
+    stream = _stream(make(), block)
+    return lemire_replay(stream, ranges) == scalar and _read_as(make, stream, scalar_rng)
+
+
+def _stream(rng, block):
+    return type("Stream", (WordStream,), {"__slots__": (), "BLOCK": block})(rng)
 
 
 class TestBoundedDrawsMatchNumpy:
@@ -650,9 +772,9 @@ class TestBoundedDrawsMatchNumpy:
 
     Generator.integers(r) for 1 < r < 2**32 applies Lemire's rule to the next
     32-bit output, integers(0, 2**32, dtype=uint32) returns those outputs,
-    bulk draws continue one another, restoring a saved state and redrawing
-    the words used ends where the scalar calls did, and integers(1) reads
-    nothing.  A numpy that changes any of these fails here.
+    bulk draws continue one another, so a stream of them reads the words
+    the scalar calls read, and integers(1) reads nothing.  A numpy that
+    changes any of these fails here.
     """
 
     @pytest.mark.parametrize("half_word", [0, 1])
@@ -662,12 +784,13 @@ class TestBoundedDrawsMatchNumpy:
     ], ids=["1-5000", "near-2^31"])
     def test_integers_follow_lemire_on_uint32_words(self, ranges, half_word):
         for seed in range(3):
-            rng = np.random.default_rng(seed)
-            if half_word:  # start with PCG64's buffered 32-bit half pending
-                rng.integers(0, 1 << 32, dtype=np.uint32)
-            assert rng.bit_generator.state["has_uint32"] == half_word
-            scalar, replayed = _scalar_and_replayed(rng, list(ranges), 2 * len(ranges))
-            assert replayed == scalar
+            def make():
+                rng = _Counted(seed)
+                if half_word:  # start with PCG64's buffered 32-bit half pending
+                    np.random.Generator.integers(rng, 0, 1 << 32, dtype=np.uint32)
+                return rng
+            assert make().bit_generator.state["has_uint32"] == half_word
+            assert _scalar_and_replayed(make, list(ranges), 2 * len(ranges))
 
     def test_integers_of_one_reads_no_state(self):
         rng = np.random.default_rng(4)
@@ -677,28 +800,27 @@ class TestBoundedDrawsMatchNumpy:
 
     def test_buffer_refills_when_used_up(self):
         ranges = [7, 1, 3**19, 2, 2**31 + 1] * 40
-        for bulk in (1, 2, 50):
-            scalar, replayed = _scalar_and_replayed(np.random.default_rng(9), ranges, bulk)
-            assert replayed == scalar
+        for block in (1, 2, 50):
+            assert _scalar_and_replayed(lambda: _Counted(9), ranges, block)
 
     def test_state_settles_when_the_block_raises(self):
         def ranges():
             yield from (5, 2**31 + 3)
             raise KeyError
 
-        rng, scalar_rng = np.random.default_rng(6), np.random.default_rng(6)
+        stream, scalar_rng = _stream(_Counted(6), 100), np.random.default_rng(6)
         with pytest.raises(KeyError):
-            lemire_replay(rng, ranges(), 100)
+            lemire_replay(stream, ranges())
         for r in (5, 2**31 + 3):
             scalar_rng.integers(r)
-        assert rng.bit_generator.state == scalar_rng.bit_generator.state
+        assert _read_as(lambda: _Counted(6), stream, scalar_rng)
 
 
 class TestFirstFrontSelection:
     def test_keeps_only_first_front(self):
         pop = _evaluated([[1.0, 1.0], [0.5, 2.0], [2.0, 2.0], [3.0, 0.1]])
         out = first_front_selection(pop, 10, das_dennis(2, 3),
-                                    NormalizationState(), np.random.default_rng(0))
+                                    NormalizationState(), WordStream(np.random.default_rng(0)))
         assert len(out) == 3  # (2,2) is dominated, the rest are front 0
         assert {tuple(r) for r in out.objectives} == {(1.0, 1.0), (0.5, 2.0), (3.0, 0.1)}
 
@@ -707,14 +829,14 @@ class TestFirstFrontSelection:
         theta = rng.random(40) * np.pi / 2
         f = np.column_stack([np.cos(theta), np.sin(theta)])
         out = first_front_selection(Population(np.zeros((40, 2)), f), 12,
-                                    das_dennis(2, 11), NormalizationState(), rng)
+                                    das_dennis(2, 11), NormalizationState(), WordStream(rng))
         assert len(out) == 12
 
     def test_result_mutually_nondominated(self):
         rng = np.random.default_rng(8)
         f = rng.random((50, 3))
         out = first_front_selection(Population(np.zeros((50, 3)), f), 20,
-                                    das_dennis(3, 4), NormalizationState(), rng)
+                                    das_dennis(3, 4), NormalizationState(), WordStream(rng))
         assert len(sort_fronts(out.objectives)) == 1
 
     @pytest.mark.parametrize("n", [30, 8])  # first front of 20: smaller, then larger
@@ -727,15 +849,15 @@ class TestFirstFrontSelection:
         refs = das_dennis(2, 5)
         state = NormalizationState()
         normalize(np.array([[0.2, 1.4], [1.3, 0.3]]), state)
-        niche_rng = np.random.default_rng(5)
-        state2, rng2 = copy.deepcopy(state), copy.deepcopy(niche_rng)
-        out = first_front_selection(pop, n, refs, state, niche_rng)
+        words, words2 = WordStream(_Counted(5)), WordStream(_Counted(5))
+        state2 = copy.deepcopy(state)
+        out = first_front_selection(pop, n, refs, state, words)
         first = pop.take(sort_fronts(pop.f)[0])
-        expected = environmental_selection(first, n, refs, state2, rng2)
+        expected = environmental_selection(first, n, refs, state2, words2)
         assert len(out) == min(n, 20)
         assert np.array_equal(out.x, expected.x) and np.array_equal(out.f, expected.f)
         assert np.array_equal(state.ideal, state2.ideal)
-        assert niche_rng.bit_generator.state == rng2.bit_generator.state
+        assert _words_read(words) == _words_read(words2)
 
 
 def _fill_oracle(pop, selected, critical, n, refs, state, rng):
@@ -805,13 +927,13 @@ class TestSelectionMatchesOracle:
             if trial % 2:  # start some runs from an earlier ideal point
                 normalize(rng.random((3, m)), state)
             state2 = copy.deepcopy(state)
-            niche_rng, rng2 = np.random.default_rng(trial), np.random.default_rng(trial)
-            for n in self.sizes(pop):  # one running state across the calls
-                got = select(pop, n, refs, state, niche_rng)
+            words, rng2 = WordStream(_Counted(trial)), np.random.default_rng(trial)
+            for n in self.sizes(pop):  # one running state and stream across the calls
+                got = select(pop, n, refs, state, words)
                 expected = oracle(pop, n, refs, state2, rng2)
                 assert np.array_equal(got.x, expected.x) and np.array_equal(got.f, expected.f)
                 assert np.array_equal(state.ideal, state2.ideal)
-            assert niche_rng.bit_generator.state == rng2.bit_generator.state
+            assert _read_as(lambda: _Counted(trial), words, rng2)
 
 
 class TestNsga3Base:

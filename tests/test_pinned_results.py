@@ -8,16 +8,18 @@ tests/test_nsga3.py keep as oracles, and the DTLZ2 (M = 5) and DTLZ7 ones
 before niching applied numpy's bounded-integer rule inline.  A
 change that must alter results prints new ones with
 `PYTHONPATH=src:tests python3 -c "import test_pinned_results as t; print(t.current_digests())"`
-and says why.  They assume IEEE doubles and the numpy build the suite runs
+and says why, and bumps the version (see RECORDED).  They assume IEEE doubles and the numpy build the suite runs
 on; a numpy upgrade that changes a last bit of sin/cos moves them too.
 """
 
 import hashlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from temof import FrameworkConfig, make_problem, nsga3_run, temof_run
+from temof import FrameworkConfig, __version__, make_problem, nsga3_run, temof_run
 
 MAX_FES = 3000
 CASES = {  # label -> (problem, n_obj, population size)
@@ -45,6 +47,14 @@ EXPECTED = {
     "DTLZ7/nsga3/1": "9cd0260ae99505041aae7f54f95c8e405f8cb2af08b3e40570621bcabb3d31f1",
     "DTLZ7/temof-nsga3/0": "67e20acf5624f96b309fc919065a4f1b84fdb400bba9e495735f7de8f327ae1b",
     "DTLZ7/temof-nsga3/1": "7bf6a41ea8bfa7ac36bb1ff249dafdfa54b07aa614015ad3561e2ca41e4cb0c6",
+}
+
+# __version__ -> SHA-256 of the sorted EXPECTED digests, one per newline.  A
+# results directory resumes only under the version that wrote it, so a
+# re-record must come with a new version (here and in pyproject.toml), or a
+# resumed runs.csv would mix the runs of two programs.
+RECORDED = {
+    "0.1.0": "b2f927a4ed49ff22375a18f9d0856c6da4cbdcbfd018435e252178f1641f4b50",
 }
 
 
@@ -79,3 +89,10 @@ def current_digests() -> dict[str, str]:
 @pytest.mark.parametrize("key", KEYS)
 def test_run_output_is_pinned(key):
     assert run_digest(key) == EXPECTED[key]
+
+
+def test_digests_are_recorded_under_this_version():
+    digest = hashlib.sha256("\n".join(sorted(EXPECTED.values())).encode()).hexdigest()
+    assert RECORDED.get(__version__) == digest
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == __version__
