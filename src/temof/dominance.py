@@ -13,9 +13,11 @@ def domination_matrix(f: np.ndarray) -> np.ndarray:
     Each objective column is replaced by its dense ranks, so that
     r[k, i] <= r[k, j] exactly when f[i, k] <= f[j, k] (infinities included,
     -0.0 and 0.0 tied): small unsigned ints compare several times faster than
-    floats.  One <= per objective gives weak dominance L, and L[i, j] with
-    not L[j, i] means some objective of i is strictly lower, so strict
-    dominance is L & ~L.T with no < pass.
+    floats.  One <= per objective gives weak dominance L.  When L[i, j] holds,
+    the rank sum of i is at most that of j, and equal only when every rank
+    is, so strict dominance is L with the rank sum of i strictly lower: one
+    contiguous < instead of a pass over the transpose of L.  A rank sum is at
+    most m * (n - 1), and the sums take the smallest unsigned type that holds it.
     """
     ft = np.ascontiguousarray(np.atleast_2d(np.asarray(f, dtype=float)).T)
     m, n = ft.shape
@@ -26,11 +28,12 @@ def domination_matrix(f: np.ndarray) -> np.ndarray:
     np.cumsum(s[:, 1:] != s[:, :-1], axis=1, out=dense[:, 1:])
     r = np.empty_like(dense)
     r.put(order, dense)
-    le = np.less_equal(r[0][:, None], r[0])
-    buf = np.empty_like(le)
-    for rk in r[1:]:
-        le &= np.less_equal(rk[:, None], rk, out=buf)
-    return np.greater(le, le.T, out=buf)
+    total = r.sum(axis=0, dtype=np.min_scalar_type(m * (n - 1)))
+    dom = np.less(total[:, None], total)
+    buf = np.empty_like(dom)
+    for rk in r:
+        dom &= np.less_equal(rk[:, None], rk, out=buf)
+    return dom
 
 
 def sort_fronts(f: np.ndarray, cover: int | None = None) -> list[np.ndarray]:

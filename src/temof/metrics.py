@@ -253,8 +253,11 @@ def hv(solution: np.ndarray, ref_point: np.ndarray, *, mode: str = "auto",
     if mode == "exact" and ref.shape[0] > 3:
         raise UsageError(
             f"hv: exact mode supports at most 3 objectives, got {ref.shape[0]}")
-    if mode == "monte_carlo" and samples < 1:
-        raise UsageError(f"hv: samples must be >= 1, got {samples}")
+    if mode == "monte_carlo":
+        if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+            raise UsageError(f"hv: samples must be an integer, got {samples!r}")
+        if samples < 1:
+            raise UsageError(f"hv: samples must be >= 1, got {samples}")
     pts = pts[(pts < ref).all(axis=1)]
     if pts.shape[0] == 0:
         return IndicatorResult("HV", 0.0, mode=mode,

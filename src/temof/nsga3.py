@@ -98,12 +98,17 @@ def reference_points_for(n: int, n_obj: int) -> ReferencePointSet:
 
 
 class NormalizationState:
-    """Running ideal point, shared by the normalizations of one run."""
+    """What the normalizations of one run share: the running ideal point, and
+    the bytes of the last extreme points with the intercepts solved for them
+    (None when that system gave no usable intercepts).
+    """
 
-    __slots__ = ("ideal",)
+    __slots__ = ("ideal", "extremes", "solved")
 
     def __init__(self) -> None:
         self.ideal: np.ndarray | None = None
+        self.extremes: bytes | None = None
+        self.solved: np.ndarray | None = None
 
     def lower(self, f: np.ndarray) -> np.ndarray:
         """Lower the running ideal to the column minima of f, and return it."""
@@ -116,6 +121,20 @@ class NormalizationState:
         return ideal
 
 
+def _solve_intercepts(extremes: np.ndarray) -> np.ndarray | None:
+    """Hyperplane intercepts through the extreme points, or None when the
+    system is singular or an intercept is not positive and finite."""
+    try:
+        plane = np.linalg.solve(extremes, np.ones(extremes.shape[1]))
+    except np.linalg.LinAlgError:
+        return None
+    with np.errstate(divide="ignore", over="ignore"):
+        candidate = 1.0 / plane
+    if (candidate > 0).all() and (candidate < math.inf).all():
+        return candidate
+    return None
+
+
 def normalize(objs: np.ndarray, state: NormalizationState) -> np.ndarray:
     """Translate by the running ideal point and scale by hyperplane intercepts.
 
@@ -123,7 +142,9 @@ def normalize(objs: np.ndarray, state: NormalizationState) -> np.ndarray:
     function with weights 1e-6 everywhere except 1 on the axis.  If the
     intercept system is singular or yields a non-positive intercept, the
     scale falls back to (max - ideal) with a 1e-12 floor.  The running
-    ideal only ever decreases; it is the only state kept between calls.
+    ideal only ever decreases.  Extreme points byte-equal to the last
+    call's reuse its solve; the fallback and the floor always come from the
+    current rows.
     """
     f = np.atleast_2d(np.asarray(objs, dtype=float))
     m = f.shape[1]
@@ -137,19 +158,13 @@ def normalize(objs: np.ndarray, state: NormalizationState) -> np.ndarray:
     for k in range(1, m):
         np.maximum(asf, cols[k] / weights[:, k:k + 1], out=asf)
     extremes = shifted[asf.argmin(axis=1)]
-    intercepts = None
-    try:
-        plane = np.linalg.solve(extremes, np.ones(m))
-        with np.errstate(divide="ignore", over="ignore"):
-            candidate = 1.0 / plane
-        if (candidate > 0).all() and (candidate < math.inf).all():
-            intercepts = candidate
-    except np.linalg.LinAlgError:
-        pass
+    key = extremes.tobytes()
+    if key != state.extremes:
+        state.extremes, state.solved = key, _solve_intercepts(extremes)
+    intercepts = state.solved
     if intercepts is None:
         intercepts = shifted.max(axis=0)
-    intercepts = np.maximum(intercepts, INTERCEPT_FLOOR)
-    return shifted / intercepts
+    return shifted / np.maximum(intercepts, INTERCEPT_FLOOR)
 
 
 def associate(normalized: np.ndarray, refs: ReferencePointSet) -> tuple[np.ndarray, np.ndarray]:
@@ -168,18 +183,20 @@ def associate(normalized: np.ndarray, refs: ReferencePointSet) -> tuple[np.ndarr
     # (np.square rounds each product as proj * proj does, at half its cost)
     sq = np.square(proj)
     idx = sq.argmax(axis=1)
-    rows = np.arange(f.shape[0])
-    floor = sq[rows, idx] - NEAR_TIE * np.einsum("ij,ij->i", f, f)
+    starts = np.arange(0, proj.size, proj.shape[1])  # flat index of each row's first entry
+    flat = starts + idx
+    floor = sq.take(flat) - NEAR_TIE * np.einsum("ij,ij->i", f, f)
     # the largest always reaches its floor, so a row is near a tie when the
-    # largest of the others does too
-    sq[rows, idx] = -np.inf
-    near = sq.max(axis=1) >= floor
+    # largest of the others does too (read at its argmax, which beats a max)
+    sq.put(flat, -np.inf)
+    near = sq.take(starts + sq.argmax(axis=1)) >= floor
     # residual norms are taken as np.linalg.norm takes them for real rows,
     # without its per-call checks
     if near.any():  # the direct formula's argmin over every residual
         resid = f[near, None, :] - proj[near, :, None] * unit
         idx[near] = np.sqrt(np.add.reduce(resid * resid, axis=2)).argmin(axis=1)
-    resid = f - proj[rows, idx][:, None] * unit[idx]
+        flat = starts + idx
+    resid = f - proj.take(flat)[:, None] * unit[idx]
     return idx, np.sqrt(np.add.reduce(resid * resid, axis=1))
 
 
@@ -273,9 +290,12 @@ def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray
     for i in np.argsort(crit_dist, kind="stable").tolist():
         members[assoc[i]].append(i)
     # the starting levels, lowest count last: (count, its references ascending)
-    levels = [(count, list(refs)) for count, refs in
-              groupby(np.argsort(rho, kind="stable").tolist(), rho.tolist().__getitem__)]
-    levels.reverse()
+    if rho.any():
+        levels = [(count, list(refs)) for count, refs in
+                  groupby(np.argsort(rho, kind="stable").tolist(), rho.tolist().__getitem__)]
+        levels.reverse()
+    else:  # no member selected yet: one level of every reference
+        levels = [(0, list(range(rho.size)))]
     low, ties = levels[-1]
     full = [j for j in ties if members[j]]
     picked: list[int] = []
@@ -352,7 +372,7 @@ def _fill(pop: Population, fronts: list[np.ndarray], n: int, refs: ReferencePoin
     """
     if n < 1:
         raise UsageError(f"selection size must be >= 1, got {n}")
-    members = np.concatenate(fronts)
+    members = fronts[0] if len(fronts) == 1 else np.concatenate(fronts)
     if members.size <= n:
         state.lower(pop.f[members])
         return pop.take(members)
@@ -363,7 +383,7 @@ def _fill(pop: Population, fronts: list[np.ndarray], n: int, refs: ReferencePoin
     rho = np.bincount(assoc[:k], minlength=len(refs))
     picks = _niche_select(rho, assoc[k:], dist[k:], n - k, stream)
     chosen = critical[picks]
-    return pop.take(np.concatenate([members[:k], chosen]))
+    return pop.take(np.concatenate([members[:k], chosen]) if k else chosen)
 
 
 def environmental_selection(pop: Population, n: int, refs: ReferencePointSet,

@@ -62,12 +62,14 @@ def sbx_batch(p1: np.ndarray, p2: np.ndarray, params: VariationParams,
         raise UsageError(f"parent shapes differ: {p1.shape} vs {p2.shape}")
     # Generator.random fills in order: the planes are the two draws of p1's shape
     do, u = rng.random((2, *p1.shape))
-    do = do < params.pc
     exp = 1.0 / (params.eta_c + 1.0)
     beta = np.where(u <= 0.5, 2.0 * u, 0.5 / (1.0 - u)) ** exp
-    beta = np.where(do, beta, 1.0)  # beta == 1 leaves both children on the parents
-    c1 = 0.5 * ((1.0 + beta) * p1 + (1.0 - beta) * p2)
-    c2 = 0.5 * ((1.0 - beta) * p1 + (1.0 + beta) * p2)
+    if params.pc < 1.0:  # a draw in [0, 1) is always below pc == 1
+        # beta == 1 leaves both children on the parents
+        beta = np.where(do < params.pc, beta, 1.0)
+    plus, minus = 1.0 + beta, 1.0 - beta
+    c1 = 0.5 * (plus * p1 + minus * p2)
+    c2 = 0.5 * (minus * p1 + plus * p2)
     for c in (c1, c2):
         np.maximum(c, lower, out=c)
         np.minimum(c, upper, out=c)
@@ -85,9 +87,10 @@ def mutate_batch(x: np.ndarray, params: VariationParams,
     x = np.atleast_2d(np.asarray(x, dtype=float))
     pm = params.mutation_prob(x.shape[1])
     sites, u = rng.random((2, *x.shape))  # as two draws of x's shape, in order
-    rows, cols = np.nonzero(sites < pm)
-    u = u[rows, cols]
-    xs, lo, up = x[rows, cols], lower[cols], upper[cols]
+    flat = np.flatnonzero(sites < pm)  # row-major indices of the mutating sites
+    cols = flat % x.shape[1]
+    u = u.take(flat)
+    xs, lo, up = x.take(flat), lower[cols], upper[cols]
     span = up - lo
     d1 = (xs - lo) / span
     d2 = (up - xs) / span
@@ -96,7 +99,7 @@ def mutate_batch(x: np.ndarray, params: VariationParams,
     high_side = 1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * (1.0 - d2) ** (params.eta_m + 1.0)) ** exp
     delta = np.where(u <= 0.5, low_side, high_side)
     out = x.copy()
-    out[rows, cols] = xs + delta * span
+    out.put(flat, xs + delta * span)
     np.maximum(out, lower, out=out)
     np.minimum(out, upper, out=out)
     return out

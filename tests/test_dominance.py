@@ -100,6 +100,10 @@ def edge_instances():
         for m in (2, 3):
             yield f"distinct-{n}x{m}", rng.random((n, m))  # ranks reach n - 1
             yield f"grid-{n}x{m}", np.round(rng.random((n, m)), 1)
+    for n, m in ((86, 3), (129, 2)):  # rank sums reach m * (n - 1): 255 fits uint8, 256 not
+        f = rng.random((n, m))
+        f[rng.integers(n)] = 2.0  # last in every objective, so its sum is the largest
+        yield f"ranksum-{n}x{m}", f
     for n in (1, 2, 7, 40):  # one objective: a total preorder
         yield f"grid-{n}x1", np.round(rng.random((n, 1)), 1)
     for m in (1, 2, 5):
@@ -245,6 +249,16 @@ class TestDominationMatrix:
     def test_matches_oracle_at_kernel_edges(self):
         for f in EDGE_CASES.values():
             assert np.array_equal(domination_matrix(f), domination_matrix_oracle(f))
+
+    def test_rank_sums_past_uint16(self):
+        # 257 rows take uint16 ranks, and a row last in all 256 objectives sums
+        # to 65 536; the rows form a chain of fronts about two rows wide
+        rng = np.random.default_rng(13)
+        f = np.arange(257.0)[:, None] + 2.0 * rng.random((257, 256))
+        f[-1] = 1e3
+        dom = domination_matrix(f)
+        assert dom[:-1, -1].all()
+        assert np.array_equal(dom, domination_matrix_oracle(f))
 
 
 class TestParetoMask:

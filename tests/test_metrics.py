@@ -511,6 +511,15 @@ class TestHvValidation:
         with pytest.raises(UsageError):
             hv([[0.5] * 4], [1.0] * 4, samples=0)
 
+    @pytest.mark.parametrize("samples", [1000.0, True, "1000", None])
+    def test_sample_count_must_be_an_integer(self, samples):
+        with pytest.raises(UsageError, match="^hv: samples must be an integer, got "):
+            hv([[0.2, 0.5, 0.5, 0.5]], [1.0] * 4, samples=samples)
+
+    def test_numpy_integer_sample_count(self):
+        assert hv([[0.2, 0.5, 0.5, 0.5]], [1.0] * 4, samples=np.int64(1000)) == \
+            hv([[0.2, 0.5, 0.5, 0.5]], [1.0] * 4, samples=1000)
+
     def test_bad_sample_count_with_no_point_in_the_box(self):
         with pytest.raises(UsageError, match="samples must be >= 1"):
             hv([[2.0] * 4], [1.0] * 4, samples=0)

@@ -139,6 +139,49 @@ class TestNormalize:
         with pytest.raises(UsageError):
             normalize(np.empty((0, 3)), NormalizationState())
 
+    def solves_over(self, sequence, monkeypatch):
+        """Normalize each set in turn with one state, require the oracle's bytes,
+        and return after how many calls the intercept system was solved."""
+        solved, solve = [], nsga3._solve_intercepts
+
+        def counted(extremes):
+            solved.append(call)
+            return solve(extremes)
+
+        monkeypatch.setattr(nsga3, "_solve_intercepts", counted)
+        state, oracle_state = NormalizationState(), NormalizationState()
+        for call, f in enumerate(sequence, 1):
+            f = np.array(f, dtype=float)
+            got = normalize(f, state)
+            want = normalize_oracle(f, oracle_state)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        return solved
+
+    def test_repeated_extremes_reuse_the_solve(self, monkeypatch):
+        # the extremes (0, 2) and (2, 0) with other rows that change
+        sequence = [[[0, 2], [2, 0], [1, 1]],
+                    [[0, 2], [2, 0], [0.5, 0.5], [1.5, 0.25]],
+                    [[2, 0], [0, 2]]]
+        assert self.solves_over(sequence, monkeypatch) == [1]
+
+    def test_repeated_singular_extremes_fall_back_to_the_current_rows(self, monkeypatch):
+        # (0, 0) is the extreme of both axes; the range fallback changes each call
+        sequence = [[[0, 0], [3, 1]], [[0, 0], [1, 5]], [[0, 0], [1e-13, 0]], [[0, 0], [1, 5]]]
+        assert self.solves_over(sequence, monkeypatch) == [1]
+
+    def test_repeated_negative_intercepts_fall_back_to_the_current_rows(self, monkeypatch):
+        # the extremes (1, 0, 1), (0, 2, 0), (1, 1, 3) give intercepts (0.8, 2, -4)
+        extremes = [[2, 1, 1], [1, 3, 0], [2, 2, 3]]
+        sequence = [extremes + [[3, 2, 2]], extremes + [[5, 4, 6]], [[5, 4, 6]] + extremes]
+        assert self.solves_over(sequence, monkeypatch) == [1]
+
+    def test_a_moving_ideal_shifts_the_extremes(self, monkeypatch):
+        # the rows (0, 2) and (2, 0) stay the extremes of base, but the third
+        # call lowers the ideal to (-1, -1) and so moves them
+        base = [[0, 2], [2, 0], [1, 1]]
+        sequence = [base, base, [[-1, 5], [5, -1]], base, base]
+        assert self.solves_over(sequence, monkeypatch) == [1, 3, 4]
+
 
 def associate_oracle(normalized, refs):
     """associate as first written: the norm of an N x R x M residual tensor."""
