@@ -8,15 +8,12 @@ statistics, and an experiment harness.
 __version__ = "0.1.0"
 
 from .core import (ConfigurationError, EvaluationError, Population, ProblemSpec,
-                   RngKey, TemofError, UnsupportedError, UsageError, concat,
-                   initialize_population, merge_dedupe, rng_stream)
+                   RngKey, TemofError, UnsupportedError, UsageError, rng_stream)
 from .dominance import pareto_mask, sort_fronts
-from .variation import VariationParams, generate_offspring, mating_pool
-from .nsga3 import (NormalizationState, Nsga3Base, ReferencePointSet, WordStream,
-                    associate, das_dennis, environmental_selection,
-                    first_front_selection, normalize, nsga3_run, reference_points_for)
+from .variation import VariationParams
+from .nsga3 import Nsga3Base, ReferencePointSet, das_dennis, nsga3_run
 from .framework import (FrameworkConfig, GenerationRecord, MatingSource,
-                        RunTrace, TemofResult, stage_gate, temof_run)
+                        RunTrace, TemofResult, temof_run)
 from .benchmarks import make_problem, problem_names, sample_true_front
 from .metrics import IndicatorResult, gd, hv, igd
 from .stats import (HIGHER_IS_BETTER, LOWER_IS_BETTER, ComparisonMark,
@@ -30,20 +27,16 @@ __all__ = [
     "__version__",
     # core
     "TemofError", "ConfigurationError", "UsageError", "EvaluationError",
-    "UnsupportedError", "ProblemSpec", "RngKey", "rng_stream",
-    "Population", "concat", "merge_dedupe",
-    "initialize_population",
+    "UnsupportedError", "ProblemSpec", "RngKey", "rng_stream", "Population",
     # dominance
     "sort_fronts", "pareto_mask",
     # variation
-    "VariationParams", "mating_pool", "generate_offspring",
+    "VariationParams",
     # nsga3
-    "ReferencePointSet", "das_dennis", "reference_points_for",
-    "NormalizationState", "normalize", "associate", "environmental_selection",
-    "first_front_selection", "WordStream", "Nsga3Base", "nsga3_run",
+    "ReferencePointSet", "das_dennis", "Nsga3Base", "nsga3_run",
     # framework
-    "FrameworkConfig", "MatingSource", "stage_gate", "GenerationRecord",
-    "RunTrace", "TemofResult", "temof_run",
+    "FrameworkConfig", "MatingSource", "GenerationRecord", "RunTrace", "TemofResult",
+    "temof_run",
     # benchmarks
     "make_problem", "problem_names", "sample_true_front",
     # metrics

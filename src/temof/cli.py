@@ -180,7 +180,7 @@ def _cmd_run(args) -> int:
             print()
             print(table.to_markdown(), end="")
         if len(config.problems) >= 2:
-            path = write_ranks(records, out, list(config.metrics))
+            path = write_ranks(records, out)
             print(f"\nwrote {path}")
     return 0
 

@@ -646,13 +646,14 @@ def write_summary(table: SummaryTable, output_dir: str | Path) -> tuple[Path, Pa
             _write(out / f"summary_{table.metric}.md", table.to_markdown()))
 
 
-def write_ranks(records: list[RunRecord], output_dir: str | Path,
-                metrics: list[str] | None = None) -> Path:
-    """Friedman mean ranks per metric, one CSV for the whole experiment."""
-    if metrics is None:
-        metrics = sorted({m for rec in records for m in rec.metrics})
+def write_ranks(records: list[RunRecord], output_dir: str | Path) -> Path:
+    """Friedman mean ranks per metric, one CSV for the whole experiment.
+
+    Metrics come in the order the records first carry them, which for
+    run_matrix's records and runs.csv read back is the config's order.
+    """
     rows = [["metric", "algorithm", "mean_rank", "chi_square", "n_problems"]]
-    for metric in metrics:
+    for metric in dict.fromkeys(m for rec in records for m in rec.metrics):
         problems, algorithms, values = _group_values(records, metric)
         if len(problems) < 2 or len(algorithms) < 2:
             continue

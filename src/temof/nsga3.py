@@ -233,20 +233,20 @@ class WordStream:
             self.pos = 0
 
 
-def _accepted(m: int, r: int, turns: int, stream: WordStream, used: int) -> tuple[int, int]:
+def _accepted(m: int, r: int, stream: WordStream, used: int, need: int) -> tuple[int, int]:
     """Finish a draw below r whose product m = word * r has low 32 bits below r.
 
     Lemire's rule accepts m when those bits reach (2**32 - r) % r, which is
     below r, and otherwise reads the next word.  Before each such word the
-    stream holds again what a level of `turns` visits reserves, so the rest
-    of the level still finds its words.  Returns the accepted product and
-    the read position, which a refill moves.
+    stream holds again the `need` words its call reserves, so the rest of
+    the call still finds its words.  Returns the accepted product and the
+    read position, which a refill moves.
     """
     threshold = (0x100000000 - r) % r
     words = stream.words
     while m & 0xFFFFFFFF < threshold:
         stream.pos = used
-        stream.reserve(2 * turns + 2)
+        stream.reserve(need)
         used = stream.pos
         m = words[used] * r
         used += 1
@@ -272,9 +272,12 @@ def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray
     whose low 32 bits reach r is accepted at once; only one below r needs
     the exact test (_accepted).  The loop applies that rule inline to the
     stream's words, in order, so the stream ends where the scalar calls
-    would have left the generator, also when the loop raises.  A visit
-    reads at most two words without a rejection, so each level reserves
-    two per reference, and two more, once.
+    would have left the generator.  A visit either picks a member or drops
+    an empty niche for good, and reads at most two words without a
+    rejection, so a call reserves 2 * (k + len(rho)) words once.  More
+    slots than critical members raise before any word is read; otherwise
+    the loop fills every slot, as a niche that still holds members is
+    lifted into the next level.
 
     A first level at count 0 settles in one step when fewer of its niches
     hold members than there are slots: no visit there draws a member, so
@@ -283,7 +286,13 @@ def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray
     down to 2.  That holds when no word can be rejected, which is checked
     in bulk; otherwise the level goes through the loop.
     """
+    if k > crit_assoc.size:
+        raise UsageError("niching ran out of candidates before filling the slots")
     rho = np.asarray(rho)
+    need = 2 * (k + rho.size)
+    stream.reserve(need)
+    words = stream.words
+    used = stream.pos
     # per reference: critical members ordered by distance, nearest first
     members: list[list[int]] = [[] for _ in range(rho.size)]
     assoc = crit_assoc.tolist()
@@ -302,62 +311,51 @@ def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray
     lifted: list[int] = []
     if low == 0 and len(full) < k:
         skip = len(ties) - 1
-        stream.reserve(skip)
-        pos = stream.pos
         # the uint32 products keep their low 32 bits
         ranges = np.arange(len(ties), 1, -1, dtype=np.uint32)
-        if (stream.block[pos:pos + skip] * ranges >= ranges).all():
-            stream.pos = pos + skip
+        if (stream.block[used:used + skip] * ranges >= ranges).all():
+            used += skip
             levels.pop()
             picked = [members[j].pop(0) for j in full]
             lifted = full
-    words = stream.words
-    used = stream.pos
-    try:
-        while len(picked) < k:  # one level per turn
-            if lifted:
-                low += 1
-                if levels and levels[-1][0] == low:
-                    lifted += levels.pop()[1]
-                lifted.sort()
-            elif levels:
-                low, lifted = levels.pop()
-            if not lifted:
-                raise UsageError("niching ran out of candidates before filling the slots")
-            ties, lifted = lifted, []
-            stream.pos = used
-            stream.reserve(2 * len(ties) + 2)
-            used = stream.pos
-            take = ties.pop
-            drawn = low != 0  # an empty niche gives its nearest member
-            # a visit lifts j out of this level, so each turn draws from one
-            # fewer of its references
-            for r in range(len(ties), 0, -1):
-                t = 0
-                if r > 1:
-                    m = words[used] * r
-                    used += 1
-                    if m & 0xFFFFFFFF < r:
-                        m, used = _accepted(m, r, r, stream, used)
-                    t = m >> 32
-                j = take(t)
-                bucket = members[j]
-                if not bucket:
-                    continue  # niche exhausted, never revisit
-                b = 0  # integers(1) reads no word
-                if drawn and len(bucket) > 1:
-                    size = len(bucket)
-                    m = words[used] * size
-                    used += 1
-                    if m & 0xFFFFFFFF < size:
-                        m, used = _accepted(m, size, r, stream, used)
-                    b = m >> 32
-                picked.append(bucket.pop(b))
-                lifted.append(j)
-                if len(picked) == k:
-                    break
-    finally:
-        stream.pos = used
+    while len(picked) < k:  # one level per turn
+        if lifted:
+            low += 1
+            if levels and levels[-1][0] == low:
+                lifted += levels.pop()[1]
+            lifted.sort()
+        else:
+            low, lifted = levels.pop()
+        ties, lifted = lifted, []
+        take = ties.pop
+        drawn = low != 0  # an empty niche gives its nearest member
+        # a visit lifts j out of this level, so each turn draws from one
+        # fewer of its references
+        for r in range(len(ties), 0, -1):
+            t = 0
+            if r > 1:
+                m = words[used] * r
+                used += 1
+                if m & 0xFFFFFFFF < r:
+                    m, used = _accepted(m, r, stream, used, need)
+                t = m >> 32
+            j = take(t)
+            bucket = members[j]
+            if not bucket:
+                continue  # niche exhausted, never revisit
+            b = 0  # integers(1) reads no word
+            if drawn and len(bucket) > 1:
+                size = len(bucket)
+                m = words[used] * size
+                used += 1
+                if m & 0xFFFFFFFF < size:
+                    m, used = _accepted(m, size, stream, used, need)
+                b = m >> 32
+            picked.append(bucket.pop(b))
+            lifted.append(j)
+            if len(picked) == k:
+                break
+    stream.pos = used
     picked.sort()
     return picked
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from temof import (ConfigurationError, EvaluationError, Population, ProblemSpec,
-                   RngKey, UsageError, concat, initialize_population, merge_dedupe,
-                   rng_stream)
+                   RngKey, UsageError, rng_stream)
+from temof.core import concat, initialize_population, merge_dedupe
 
 
 def sphere_problem(n_var=4, n_obj=2):

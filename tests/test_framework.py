@@ -5,7 +5,8 @@ import pytest
 
 from temof import (ConfigurationError, FrameworkConfig, MatingSource, Nsga3Base,
                    VariationParams, make_problem, nsga3_run, pareto_mask, sort_fronts,
-                   stage_gate, temof_run)
+                   temof_run)
+from temof.framework import stage_gate
 
 
 class TestStageGate:

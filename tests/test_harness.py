@@ -784,6 +784,15 @@ class TestSummarize:
         assert float(rows[0]["mean_rank"]) == 1.0
         assert rows[0]["metric"] == "IGD"
 
+    def test_write_ranks_follows_the_records_metric_order(self, tmp_path):
+        # neither sorted by name (GD, HV, IGD) nor the harness's default order
+        records = [replace(rec, metrics={"HV": 1.0 - rec.metrics["IGD"], **rec.metrics,
+                                         "GD": rec.metrics["IGD"] / 2})
+                   for rec in synthetic_records()]
+        rows = read_rows(write_ranks(records, tmp_path))
+        assert [r["metric"] for r in rows] == ["HV", "HV", "IGD", "IGD", "GD", "GD"]
+        assert [float(r["mean_rank"]) for r in rows] == [1.0, 2.0] * 3
+
 
 class TestCli:
     def test_bench_list(self, capsys):
@@ -973,6 +982,17 @@ class TestCli:
 
         assert cli_main(["report", "ranks", "--runs", str(out)]) == 0
         assert "metric,algorithm,mean_rank" in capsys.readouterr().out
+
+    def test_report_ranks_rewrites_the_ranks_run_wrote(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        assert cli_main(["run", "--problem", "DTLZ7", "--problem", "ZDT3", "--algo", "nsga3",
+                         "--algo", "temof-nsga3", "--seeds", "2", "--n", "10",
+                         "--max-fes", "20", "--metrics", "IGD", "HV", "--out", str(out),
+                         "--quiet"]) == 0
+        written = (out / "ranks.csv").read_bytes()
+        assert [r["metric"] for r in read_rows(out / "ranks.csv")] == ["IGD"] * 2 + ["HV"] * 2
+        assert cli_main(["report", "ranks", "--runs", str(out)]) == 0
+        assert (out / "ranks.csv").read_bytes() == written
 
     def test_run_prints_one_line_per_cell(self, tmp_path, capsys):
         out = tmp_path / "exp"

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from temof import (ConfigurationError, FrameworkConfig, NormalizationState, Nsga3Base,
-                   Population, ReferencePointSet, UsageError, WordStream, associate,
-                   das_dennis, environmental_selection, first_front_selection,
-                   make_problem, normalize, nsga3, nsga3_run, reference_points_for,
-                   rng_stream, sort_fronts, temof_run)
-from temof.nsga3 import _fill, _niche_select, choose_divisions
+from temof import (ConfigurationError, FrameworkConfig, Nsga3Base, Population,
+                   ReferencePointSet, UsageError, das_dennis, make_problem, nsga3,
+                   nsga3_run, rng_stream, sort_fronts, temof_run)
+from temof.nsga3 import (NormalizationState, WordStream, _fill, _niche_select, associate,
+                         choose_divisions, environmental_selection, first_front_selection,
+                         normalize, reference_points_for)
 
 
 class TestDasDennis:
@@ -537,14 +537,16 @@ class TestNicheSelect:
     @staticmethod
     def step(stream, oracle_rng, rho, assoc, dist, k):
         """One call on the stream and on the oracle: the same picks, ascending,
-        or both run out (None)."""
+        or both run out (None), the stream before it reads a word."""
         rho = np.asarray(rho, dtype=float)
         assoc, dist = np.asarray(assoc), np.asarray(dist, dtype=float)
+        before = _words_read(stream)
         try:
             got = _niche_select(rho.copy(), assoc, dist, k, stream)
         except UsageError:
-            with pytest.raises(UsageError, match="ran out"):
-                niche_select_oracle(rho.copy(), assoc, dist, k, oracle_rng)
+            assert _words_read(stream) == before
+            with pytest.raises(UsageError, match="ran out"):  # whatever its draws
+                niche_select_oracle(rho.copy(), assoc, dist, k, np.random.default_rng())
             return None
         assert got == sorted(niche_select_oracle(rho.copy(), assoc, dist, k, oracle_rng))
         return got
@@ -704,13 +706,12 @@ class TestNicheSelect:
             self.check(*self.random_instance(rng), seed, zero_word=bool(seed % 2))
 
     def test_too_few_candidates(self):
-        assert self.check(np.zeros(3), [0, 1], [0.1, 0.2], 3) is None
-        rng = np.random.default_rng(0)
-        with pytest.raises(UsageError, match="ran out"):
-            niche_select_oracle(np.zeros(3), np.array([0, 1]), np.array([0.1, 0.2]), 3, rng)
-        assert rng.bit_generator.state != np.random.default_rng(0).bit_generator.state
+        make, oracle_rng = self.generators(0)
+        stream = WordStream(make())
+        assert self.step(stream, oracle_rng, np.zeros(3), [0, 1], [0.1, 0.2], 3) is None
+        assert stream.rng.drawn == 0  # raised before reserving a word
 
-    def test_stream_stops_at_the_words_read_when_the_loop_raises(self):
+    def test_more_slots_than_candidates_read_no_word(self):
         rng = np.random.default_rng(14)
         for seed in range(50):  # more slots than candidates: every case runs out
             instance = self.random_instance(rng, short=True)
@@ -722,10 +723,10 @@ class TestNicheSelect:
         """count random instances, the odd ones with more slots than candidates."""
         return [TestNicheSelect.random_instance(rng, short=bool(i % 2)) for i in range(count)]
 
-    def test_error_mid_loop_leaves_the_stream_at_the_words_read(self, small_blocks):
+    def test_a_raising_call_leaves_the_shared_stream_unread(self, small_blocks):
         rng = np.random.default_rng(23)
         raised = 0
-        for seed in range(30):  # the calls of a run share one stream
+        for seed in range(30):  # the calls of a run share one stream, read on past a raise
             make, oracle_rng = self.generators(seed, zero_word=bool(seed % 2))
             stream = WordStream(make())
             for instance in self.calls(rng, 6):
@@ -735,7 +736,7 @@ class TestNicheSelect:
         assert raised > 0
 
     def test_a_level_reads_words_of_two_draws(self, small_blocks, monkeypatch):
-        held = []  # unread words at each draw: a level's words straddle two draws
+        held = []  # unread words at each draw: a call's words straddle two draws
         reserve = WordStream.reserve
 
         def spy(stream, count):
@@ -757,9 +758,9 @@ class TestNicheSelect:
         refilled = []  # whether an _accepted call drew from the generator
         accepted = nsga3._accepted
 
-        def spy(m, r, turns, stream, used):
+        def spy(m, r, stream, used, need):
             drawn = stream.rng.drawn
-            out = accepted(m, r, turns, stream, used)
+            out = accepted(m, r, stream, used, need)
             refilled.append(stream.rng.drawn > drawn)
             return out
 
@@ -772,6 +773,28 @@ class TestNicheSelect:
                 rho = np.array([0, 0, 0, 1, 1]) if seed % 2 else np.zeros(5)
                 self.check(rho, assoc, dist, int(rng.integers(3, 16)), seed, planted=planted)
         assert any(refilled) and not all(refilled)
+
+    def test_a_call_without_a_rejection_reserves_once(self, monkeypatch):
+        reserved = []  # the counts one call reserves
+        reserve = WordStream.reserve
+
+        def spy(stream, count):
+            reserved.append(count)
+            reserve(stream, count)
+
+        def exact_test(*args):
+            raise AssertionError("these draws take no exact test")
+
+        monkeypatch.setattr(WordStream, "reserve", spy)
+        monkeypatch.setattr(nsga3, "_accepted", exact_test)
+        rng = np.random.default_rng(26)
+        # distinct counts: a level per pick, then random instances of one or more levels
+        instances = [(np.arange(6), [0, 1, 2, 3, 4, 5] * 3, np.linspace(1.0, 0.1, 18), 12)]
+        instances += [self.random_instance(rng) for _ in range(50)]
+        for seed, (rho, assoc, dist, k) in enumerate(instances):
+            reserved.clear()
+            self.check(rho, assoc, dist, k, seed)
+            assert reserved == [2 * (k + len(rho))]
 
 
 def lemire_replay(stream, ranges):

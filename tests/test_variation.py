@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from temof import (ConfigurationError, Population, ProblemSpec, UsageError,
-                   VariationParams, generate_offspring, mating_pool)
-from temof.variation import mutate_batch, sbx_batch
+from temof import ConfigurationError, Population, ProblemSpec, UsageError, VariationParams
+from temof.variation import generate_offspring, mating_pool, mutate_batch, sbx_batch
 
 
 def box_problem(n_var=6):
