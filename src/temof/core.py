@@ -40,6 +40,11 @@ class UnsupportedError(TemofError):
 # Seeded random streams
 # ---------------------------------------------------------------------------
 
+def seed_word(seed: int) -> int:
+    """The 64-bit word a seed enters its streams as; seeds with one word share them."""
+    return int(seed) & 0xFFFFFFFFFFFFFFFF
+
+
 def rng_stream(master_seed: int, run_key: int, purpose: str) -> np.random.Generator:
     """Independent generator for a (master seed, run, purpose) triple.
 
@@ -53,8 +58,7 @@ def rng_stream(master_seed: int, run_key: int, purpose: str) -> np.random.Genera
     if not isinstance(run_key, (int, np.integer)):
         raise ConfigurationError(f"run_key must be an int, got {type(run_key).__name__}")
     seq = np.random.SeedSequence(
-        [int(master_seed) & 0xFFFFFFFFFFFFFFFF, int(run_key) & 0xFFFFFFFFFFFFFFFF,
-         zlib.crc32(purpose.encode("utf-8"))]
+        [seed_word(master_seed), seed_word(run_key), zlib.crc32(purpose.encode("utf-8"))]
     )
     return np.random.default_rng(seq)
 

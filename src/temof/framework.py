@@ -102,10 +102,10 @@ def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
     """Run the two-stage framework on one problem.
 
     base_factory(problem, n, rng) builds the base algorithm's selection pair.
-    With disable_archive=True the archive is neither maintained nor mated
-    from, which reduces the loop to the plain base algorithm; its gate has
-    p = 0, so the gate stream is still advanced every generation and seeds
-    stay comparable.
+    With disable_archive=True no archive is maintained or mated from, which
+    reduces the loop to the plain base algorithm; the archive reported to the
+    observer and in the result is then the population.  Its gate has p = 0,
+    and the gate stream is a stream of its own, so its draws affect no other.
     """
     key = seed if isinstance(seed, RngKey) else RngKey(int(seed))
     population = initialize_population(problem, config.n, key.stream("init"))
@@ -127,7 +127,7 @@ def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
         fes += len(offspring)
         selected = base.environmental_selection(concat(population, offspring), config.n)
         if disable_archive:
-            population = selected
+            population = archive = selected
         else:
             archive = base.first_front_selection(concat(archive, offspring), config.n)
             # variation can copy a parent bit for bit, so the union is topped

@@ -28,7 +28,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__
-from .core import ConfigurationError, RngKey, UsageError
+from .core import ConfigurationError, RngKey, UsageError, seed_word
 from .benchmarks import make_problem
 from .framework import FrameworkConfig, temof_run
 from .metrics import MC_DEFAULT_SAMPLES, gd, hv, igd
@@ -142,6 +142,13 @@ class ExperimentConfig:
                 raise ConfigurationError(f"experiment needs at least one {what}")
             if len(set(values)) != len(values):
                 raise ConfigurationError(f"{what}s must be unique, got {values}")
+        words: dict[int, int] = {}
+        for seed in self.seeds:  # distinct seeds with one word would run one stream twice
+            twin = words.setdefault(seed_word(seed), seed)
+            if twin != seed:
+                raise ConfigurationError(
+                    f"seeds {twin} and {seed} name one random stream, since seeds are "
+                    f"taken modulo 2**64")
         for problem in self.problems:  # the reference directions need n >= n_obj >= 2
             if self.n < problem._n_obj:
                 raise ConfigurationError(
@@ -411,9 +418,9 @@ def run_matrix(config: ExperimentConfig, workers: int = 1,
     """Execute every missing cell of the experiment matrix.
 
     Cells run in a pool of min(workers, cells left) processes, or in this
-    process when that is at most 1.  Returns the full record list in matrix
-    order.  progress, if given, is called as progress(done, total,
-    record_or_none) after each cell.
+    process when that is at most 1.  Returns the records of the cells that
+    carry every metric, in matrix order.  progress, if given, is called as
+    progress(done, total, record_or_none) after each cell.
     """
     if workers < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {workers}")
@@ -474,6 +481,7 @@ def run_matrix(config: ExperimentConfig, workers: int = 1,
                 except Exception as exc:  # record and move on
                     record = None
                     failures.append([*key, f"{type(exc).__name__}: {exc}"])
+                    existing.pop(key, None)  # a partly saved cell stays incomplete
                 else:  # a partly saved cell gets only its missing rows
                     _write(runs_path, [[*key, metric, repr(record.metrics[metric]), record.fes,
                                         repr(record.wall_ms)] for metric in lacking[key]],

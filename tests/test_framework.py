@@ -154,12 +154,17 @@ class TestStructuralInvariants:
 class TestAblation:
     def test_disable_archive_matches_plain_base_run(self):
         problem = tiny_problem()
+        seen = []
         res = temof_run(problem, FrameworkConfig(n=20, max_fes=600, p=0.0), 9,
-                        disable_archive=True)
+                        disable_archive=True,
+                        observer=lambda gen, fes, src, pop, arch: seen.append(arch is pop))
         pop, fes = nsga3_run(problem, 20, 600, 9)
         assert np.array_equal(res.population.x, pop.x)
         assert np.array_equal(res.population.f, pop.f)
         assert res.fes == fes
+        # without an archive, the archive reported is the population
+        assert res.archive is res.population
+        assert seen and all(seen)
 
     def test_disable_archive_ignores_p(self):
         problem = tiny_problem()

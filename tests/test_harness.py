@@ -82,6 +82,13 @@ class TestConfigValidation:
             ExperimentConfig(problems=(ProblemSelection("ZDT1"),),
                              algorithms=(AlgorithmSpec("nsga3"),),
                              seeds=(1, 1), n=10, max_fes=100)
+        # seeds enter their streams modulo 2**64, so these pairs would run one stream twice
+        for a, b in ((-1, 2**64 - 1), (0, 2**64)):
+            with pytest.raises(ConfigurationError,
+                               match=rf"^seeds {a} and {b} name one random stream"):
+                ExperimentConfig(problems=(ProblemSelection("ZDT1"),),
+                                 algorithms=(AlgorithmSpec("nsga3"),),
+                                 seeds=(a, b), n=10, max_fes=100)
 
     def test_hv_scale_must_clear_front(self):
         for scale in (1.0, float("nan")):
@@ -523,6 +530,22 @@ class TestRunMatrix:
         assert len(records) == 2
         assert not (tmp_path / "out" / "failures.csv").exists()
 
+    def test_partly_saved_cell_whose_retry_fails_is_incomplete(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path / "out", seeds=(0,))
+        run_matrix(cfg)
+        runs = tmp_path / "out" / "runs.csv"
+        data = runs.read_bytes()
+        runs.write_bytes(data[:data.rstrip(b"\r\n").rindex(b",") + 1])  # the last HV cut off
+
+        def broken(config, problem, algorithm, seed):
+            raise RuntimeError("synthetic fault")
+
+        monkeypatch.setattr(harness, "_execute_run", broken)
+        records = run_matrix(cfg)
+        assert [(r.algorithm, set(r.metrics)) for r in records] == [("nsga3", {"IGD", "HV"})]
+        failures = read_rows(tmp_path / "out" / "failures.csv")
+        assert [f["algorithm"] for f in failures] == ["temof-nsga3"]
+
     def test_unscorable_cell_fails_before_optimizing(self, tmp_path, monkeypatch):
         def broken_sampler(self, count):
             raise RuntimeError("sampler fault")
@@ -557,16 +580,27 @@ class TestRunMatrix:
         assert [f["problem"] for f in failures] == ["ZDT1", "DTLZ7"]
         assert all("hv_ref_scale" in f["error"] for f in failures)
 
-    def test_parallel_output_matches_sequential(self, tmp_path):
-        cfg1 = tiny_config(tmp_path / "seq")
-        cfg2 = tiny_config(tmp_path / "par")
-        run_matrix(cfg1, workers=1)
-        run_matrix(cfg2, workers=2)
-        seq = read_rows(tmp_path / "seq" / "runs.csv")
-        par = read_rows(tmp_path / "par" / "runs.csv")
-        for a, b in zip(seq, par):
-            a.pop("wall_ms"), b.pop("wall_ms")
-            assert a == b
+    @pytest.mark.parametrize("matrix", [
+        {},
+        # at n = 100 the DTLZ7 runs read past niching's first block of words
+        {"problems": (ProblemSelection("ZDT3"), ProblemSelection("DTLZ7")),
+         "seeds": (0, 1, 2), "n": 100, "max_fes": 2000, "metrics": ("IGD", "GD", "HV"),
+         "igd_reference_size": 2000},
+        # five objectives score HV by Monte Carlo
+        {"problems": (ProblemSelection("DTLZ2", n_obj=5),), "n": 15, "max_fes": 150,
+         "metrics": ("IGD", "GD", "HV"), "igd_reference_size": 10_000,
+         "hv_mc_samples": 20_000},
+    ], ids=["tiny", "irregular", "five-objective"])
+    def test_parallel_output_matches_sequential(self, tmp_path, matrix):
+        rows = {}
+        for workers in (1, 2):
+            cfg = replace(tiny_config(tmp_path / str(workers)), **matrix)
+            assert len(run_matrix(cfg, workers=workers)) == (
+                len(cfg.problems) * len(cfg.algorithms) * len(cfg.seeds))
+            rows[workers] = read_rows(tmp_path / str(workers) / "runs.csv")
+            for row in rows[workers]:
+                row.pop("wall_ms")
+        assert rows[1] == rows[2]
 
     def test_pool_has_no_more_workers_than_cells(self, tmp_path, monkeypatch):
         pools = []
@@ -1019,6 +1053,27 @@ class TestCli:
         assert captured.out == ("[1/2] failed (see failures.csv)\n"
                                 "[2/2] failed (see failures.csv)\n"
                                 f"0/2 runs complete in {out}\n")
+        assert captured.err == f"some runs failed; see {out / 'failures.csv'}\n"
+
+    def test_run_with_a_partly_saved_cell_whose_retry_fails(self, tmp_path, capsys,
+                                                           monkeypatch):
+        out = tmp_path / "exp"
+        argv = ["run", "--problem", "ZDT1", "--problem", "ZDT2", "--algo", "nsga3",
+                "--algo", "temof-nsga3", "--seeds", "1", "--n", "10", "--max-fes", "20",
+                "--out", str(out), "--quiet"]
+        assert cli_main(argv) == 0
+        runs = out / "runs.csv"
+        data = runs.read_bytes()
+        runs.write_bytes(data[:data.rstrip(b"\r\n").rindex(b",") + 1])  # the last HV cut off
+
+        def broken(config, problem, algorithm, seed):
+            raise RuntimeError("synthetic fault")
+
+        monkeypatch.setattr(harness, "_execute_run", broken)
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"3/4 runs complete in {out}\n"
         assert captured.err == f"some runs failed; see {out / 'failures.csv'}\n"
 
     def test_run_with_config_file(self, tmp_path, capsys):
