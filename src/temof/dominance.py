@@ -52,18 +52,38 @@ def sort_fronts(f: np.ndarray, cover: int | None = None) -> list[np.ndarray]:
         raise UsageError("cannot sort an empty objective matrix")
     if np.isnan(f).any():
         raise UsageError("sort_fronts: objective matrix holds NaN")
-    dom = domination_matrix(f)
+    return _peel(domination_matrix(f), cover)
+
+
+def subset_fronts(dom: np.ndarray, rows: np.ndarray, cover: int | None = None
+                  ) -> list[np.ndarray]:
+    """sort_fronts of the rows of an objective matrix at the given indices,
+    read off its domination matrix dom.
+
+    rows may repeat an index; the fronts hold positions in rows.  Only the
+    subset's rows of dom are gathered: the columns of the subset are picked
+    out of each front test.
+    """
+    return _peel(dom[rows], cover, rows)
+
+
+def _peel(dom: np.ndarray, cover: int | None, cols=slice(None)) -> list[np.ndarray]:
+    """Peel fronts off the rows of a domination matrix, which are overwritten,
+    until they hold cover rows or all of them.  Column cols[i] of dom is the
+    column of row i."""
+    n = dom.shape[0]
     left = np.ones(n, dtype=bool)
     fronts: list[np.ndarray] = []
     covered = 0
+    current = np.flatnonzero(~dom.any(axis=0)[cols])
     while True:
-        current = np.flatnonzero(left & ~dom.any(axis=0))
         fronts.append(current)
         covered += current.size
         if covered == n or cover is not None and covered >= cover:
             return fronts
         left[current] = False
         dom[current] = False  # a peeled row no longer counts as a dominator
+        current = np.flatnonzero(left & ~dom.any(axis=0)[cols])
 
 
 def pareto_mask(f: np.ndarray) -> np.ndarray:

@@ -13,8 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import (ConfigurationError, Population, ProblemSpec, RngKey, concat,
-                   initialize_population, merge_dedupe)
+import numpy as np
+
+from .core import (ConfigurationError, Population, ProblemSpec, RngKey, first_copies,
+                   initialize_population, row_hashes)
+from .dominance import domination_matrix, subset_fronts
 from .nsga3 import Nsga3Base
 from .variation import VariationParams, generate_offspring
 
@@ -96,25 +99,43 @@ class TemofResult:
     fes: int
 
 
+def _members(x: np.ndarray, f: np.ndarray, rows: np.ndarray) -> Population:
+    return Population._own(x[rows], f[rows])
+
+
 def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
               *, base_factory=Nsga3Base, variation: VariationParams = VariationParams(),
               observer=None, disable_archive: bool = False) -> TemofResult:
     """Run the two-stage framework on one problem.
 
-    base_factory(problem, n, rng) builds the base algorithm's selection pair.
-    With disable_archive=True no archive is maintained or mated from, which
-    reduces the loop to the plain base algorithm; the archive reported to the
-    observer and in the result is then the population.  Its gate has p = 0,
-    and the gate stream is a stream of its own, so its draws affect no other.
+    base_factory(problem, n, rng) builds the base algorithm, whose
+    select(objectives, fronts, n) returns the row indices it keeps out of
+    the given fronts of row indices.  With disable_archive=True no archive
+    is maintained or mated from, which reduces the loop to the plain base
+    algorithm; the archive reported to the observer and in the result is
+    then the population.  Its gate has p = 0, and the gate stream is a
+    stream of its own, so its draws affect no other.
+
+    The rows of the population and the archive live in one pool; with an
+    archive, each decision vector is hashed once, when its row is born.
+    Each generation rebuilds the pool from the population, the archive's
+    other rows and the offspring, and builds one domination matrix over it,
+    from which every selection of the generation reads its fronts.
     """
     key = seed if isinstance(seed, RngKey) else RngKey(int(seed))
-    population = initialize_population(problem, config.n, key.stream("init"))
-    fes = len(population)
-    base = base_factory(problem, config.n, key.stream("selection"))
+    n = config.n
+    initial = initialize_population(problem, n, key.stream("init"))
+    fes = len(initial)
+    base = base_factory(problem, n, key.stream("selection"))
     p = 0.0 if disable_archive else config.p
     gate_rng = key.stream("gate")
     var_rng = key.stream("variation")
-    archive = population
+    # the pool: x and f of its rows, which population and archive index, and
+    # the hashes of the x rows, which only the union's dedupe reads
+    x, f = initial.x, initial.f
+    population = np.arange(n)
+    archive = None if disable_archive else population
+    hashes = None if disable_archive else row_hashes(x)
     trace = RunTrace()
     generation = 0
     while fes <= config.max_fes:
@@ -123,18 +144,53 @@ def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
         source = stage_gate(fes_before, config.max_fes, p, float(gate_rng.random()),
                             config.stage_fraction)
         parents = archive if source is MatingSource.ARCHIVE else population
-        offspring = generate_offspring(parents, config.n, variation, problem, var_rng)
+        offspring = generate_offspring(_members(x, f, parents), n, variation, problem, var_rng)
         fes += len(offspring)
-        selected = base.environmental_selection(concat(population, offspring), config.n)
-        if disable_archive:
-            population = archive = selected
+        # the next pool: the population in its order, the other rows of the
+        # archive, the offspring
+        keep = population
+        if archive is not None:
+            moved = np.full(len(x), -1)  # each kept row's index in the next pool
+            moved[population] = np.arange(n)
+            others = archive[moved[archive] < 0]
+            moved[others] = np.arange(n, n + others.size)
+            archive = moved[archive]
+            keep = np.concatenate([population, others])
+            hashes = np.concatenate([hashes[keep], row_hashes(offspring.x)])
+        x = np.concatenate([x[keep], offspring.x])
+        f = np.concatenate([f[keep], offspring.f])
+        population = np.arange(n)
+        born = np.arange(keep.size, len(x))
+        dom = domination_matrix(f)
+        selected = _select(base, f, dom, np.concatenate([population, born]), n, n)
+        if archive is None:
+            population = selected
         else:
-            archive = base.first_front_selection(concat(archive, offspring), config.n)
+            archive = _select(base, f, dom, np.concatenate([archive, born]), n, 1)
             # variation can copy a parent bit for bit, so the union is topped
             # back up to n with the earliest dropped copies
-            population = base.environmental_selection(
-                merge_dedupe(selected, archive, n=config.n), config.n)
+            union = np.concatenate([selected, archive])
+            union = union[first_copies(x[union], hashes[union], n)]
+            population = _select(base, f, dom, union, n, n)
         trace.append(GenerationRecord(generation, fes_before, source, fes))
         if observer is not None:
-            observer(generation, fes, source, population, archive)
-    return TemofResult(population, archive, trace, fes)
+            observer(generation, fes, source, *_reported(x, f, population, archive))
+    return TemofResult(*_reported(x, f, population, archive), trace, fes)
+
+
+def _select(base, f: np.ndarray, dom: np.ndarray, rows: np.ndarray, n: int,
+            cover: int) -> np.ndarray:
+    """The pool rows that base keeps out of rows, at most n, from the fronts
+    of rows that hold cover of them; rows that fit in cover are one front,
+    in their own order."""
+    fronts = ([rows] if rows.size <= cover else
+              [rows[front] for front in subset_fronts(dom, rows, cover)])
+    return base.select(f, fronts, n)
+
+
+def _reported(x: np.ndarray, f: np.ndarray, population: np.ndarray,
+              archive: np.ndarray | None) -> tuple[Population, Population]:
+    """Population and archive as populations; without an archive, the
+    population twice."""
+    pop = _members(x, f, population)
+    return pop, pop if archive is None else _members(x, f, archive)

@@ -1,9 +1,10 @@
 """Reference-point based many-objective selection (NSGA-III style).
 
 Provides Das-Dennis reference directions, adaptive normalization,
-association, niching, the two environmental selection variants used by the
-framework, and the plain NSGA-III runner, which is the framework loop with
-the archive switched off.
+association, niching, the selection the framework's base makes from the
+fronts it is given (Nsga3Base.select), the two environmental selection
+variants of a population built on it, and the plain NSGA-III runner, which
+is the framework loop with the archive switched off.
 """
 
 from __future__ import annotations
@@ -171,6 +172,12 @@ def associate(normalized: np.ndarray, refs: ReferencePointSet) -> tuple[np.ndarr
     """Closest reference direction per point by perpendicular distance.
 
     Returns (reference index, distance) arrays; ties go to the lowest index.
+    A row's result can depend on the other rows of the batch: the matrix
+    product splits its work into blocks by the batch's shape, which can move
+    a projection by a rounding step.  With OpenBLAS on an x86 host, about 1
+    random row subset in 1000 (M = 2, 3, 5) gave some row an index or
+    distance bits other than the full batch gave it, so associations are
+    never reused across batches.
     """
     f = np.atleast_2d(np.asarray(normalized, dtype=float))
     if f.shape[1] != refs.n_obj:
@@ -360,28 +367,35 @@ def _niche_select(rho: np.ndarray, crit_assoc: np.ndarray, crit_dist: np.ndarray
     return picked
 
 
-def _fill(pop: Population, fronts: list[np.ndarray], n: int, refs: ReferencePointSet,
-          state: NormalizationState, stream: WordStream) -> Population:
-    """Keep whole fronts, then niche the last front down to what is left of n.
+def _keep(f: np.ndarray, fronts: list[np.ndarray], n: int, refs: ReferencePointSet,
+          state: NormalizationState, stream: WordStream) -> np.ndarray:
+    """The row indices of f kept out of fronts: whole fronts, then the last
+    front niched down to what is left of n.
 
-    The running ideal takes in every member of the fronts, also when they
-    fit in n and nothing is normalized.  Niche counts start from the
+    The running ideal takes in every member of the fronts, also when they fit
+    in n and nothing is normalized.  Niche counts start from the
     associations of the fronts kept whole.
     """
     if n < 1:
         raise UsageError(f"selection size must be >= 1, got {n}")
     members = fronts[0] if len(fronts) == 1 else np.concatenate(fronts)
     if members.size <= n:
-        state.lower(pop.f[members])
-        return pop.take(members)
-    normalized = normalize(pop.f[members], state)
+        state.lower(f[members])
+        return members
+    normalized = normalize(f[members], state)
     critical = fronts[-1]
     k = members.size - critical.size
     assoc, dist = associate(normalized, refs)
     rho = np.bincount(assoc[:k], minlength=len(refs))
     picks = _niche_select(rho, assoc[k:], dist[k:], n - k, stream)
     chosen = critical[picks]
-    return pop.take(np.concatenate([members[:k], chosen]) if k else chosen)
+    return np.concatenate([members[:k], chosen]) if k else chosen
+
+
+def _fill(pop: Population, fronts: list[np.ndarray], n: int, refs: ReferencePointSet,
+          state: NormalizationState, stream: WordStream) -> Population:
+    """The members of pop that _keep keeps."""
+    return pop.take(_keep(pop.f, fronts, n, refs, state, stream))
 
 
 def environmental_selection(pop: Population, n: int, refs: ReferencePointSet,
@@ -409,10 +423,10 @@ def first_front_selection(pop: Population, n: int, refs: ReferencePointSet,
 
 
 class Nsga3Base:
-    """Selection pair for the framework.
+    """Base algorithm of the framework: NSGA-III's selection.
 
     Bundles the reference set sized to the population, a shared
-    normalization state (the running ideal spans both selection variants),
+    normalization state (the running ideal spans every selection of a run),
     and the word stream of the niching generator, which nothing else reads.
     """
 
@@ -425,11 +439,9 @@ class Nsga3Base:
         self.state = NormalizationState()
         self.words = WordStream(rng)
 
-    def environmental_selection(self, pop: Population, n: int) -> Population:
-        return environmental_selection(pop, n, self.refs, self.state, self.words)
-
-    def first_front_selection(self, pop: Population, n: int) -> Population:
-        return first_front_selection(pop, n, self.refs, self.state, self.words)
+    def select(self, objectives: np.ndarray, fronts: list[np.ndarray], n: int) -> np.ndarray:
+        """The row indices of objectives kept out of fronts, at most n (_keep)."""
+        return _keep(objectives, fronts, n, self.refs, self.state, self.words)
 
 
 def nsga3_run(problem: ProblemSpec, n: int, max_fes: int, seed: RngKey | int,

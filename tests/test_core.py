@@ -3,7 +3,9 @@ import pytest
 
 from temof import (ConfigurationError, EvaluationError, Population, ProblemSpec,
                    RngKey, UsageError, rng_stream)
-from temof.core import concat, initialize_population, merge_dedupe
+from temof import core
+from temof.core import (concat, first_copies, initialize_population, merge_dedupe,
+                        row_hashes)
 
 
 def sphere_problem(n_var=4, n_obj=2):
@@ -228,6 +230,39 @@ class TestConcatAndMerge:
                 got, want = merge_dedupe(a, b, n=n), self.merge_oracle(a, b, n)
                 assert got.x.tobytes() == want.x.tobytes() and got.x.shape == want.x.shape
                 assert got.f.tobytes() == want.f.tobytes()
+
+    @staticmethod
+    def first_copies_oracle(x, n):
+        """Positions of the first copy of each row's bytes, then dropped copies."""
+        keep, dropped, seen = [], [], set()
+        for i, row in enumerate(x):
+            (dropped if row.tobytes() in seen else keep).append(i)
+            seen.add(row.tobytes())
+        return keep + dropped[:max(n - len(keep), 0)]
+
+    def test_first_copies_with_true_and_forced_hash_collisions(self):
+        rng = np.random.default_rng(9)
+        values = np.array([0.0, -0.0, 0.25, 1.0, -np.inf])
+        for _ in range(200):
+            rows, width = int(rng.integers(0, 15)), int(rng.integers(0, 4))
+            x = values[rng.integers(values.size, size=(rows, width))]
+            for n in (0, int(rng.integers(0, rows + 3))):
+                want = self.first_copies_oracle(x, n)
+                # the hash, a constant, and a hash of one bit: any function of the bytes
+                for hashes in (row_hashes(x), np.zeros(rows, dtype=np.uint64),
+                               row_hashes(x) & np.uint64(1)):
+                    got = first_copies(x, hashes, n)
+                    assert got.dtype == np.intp and got.tolist() == want
+
+    def test_signed_zeros_hash_apart(self):
+        x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
+        hashes = row_hashes(x)
+        assert hashes[0] == hashes[2] != hashes[1]
+        assert first_copies(x, hashes, 0).tolist() == [0, 1]
+
+    def test_merge_when_every_hash_collides(self, monkeypatch):
+        monkeypatch.setattr(core, "row_hashes", lambda x: np.zeros(x.shape[0], dtype=np.uint64))
+        self.test_merge_matches_row_loop_oracle()
 
     def test_merge_dim_mismatch(self):
         a = Population(np.zeros((1, 2)), np.zeros((1, 2)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from temof import ConfigurationError, UsageError, pareto_mask, sort_fronts
-from temof.dominance import domination_matrix
+from temof.dominance import domination_matrix, subset_fronts
 
 
 class DominanceRelation(Enum):
@@ -259,6 +259,43 @@ class TestDominationMatrix:
         dom = domination_matrix(f)
         assert dom[:-1, -1].all()
         assert np.array_equal(dom, domination_matrix_oracle(f))
+
+
+class TestSubsetFronts:
+    """subset_fronts reads sort_fronts of a row subset off the full matrix."""
+
+    @staticmethod
+    def assert_matches_sort(f, rows):
+        dom = domination_matrix(f)
+        kept = dom.copy()
+        sub = f[rows]
+        for cover in [None, *range(1, rows.size + 1)]:
+            assert_same_fronts(subset_fronts(dom, rows, cover), sort_fronts(sub, cover=cover))
+        assert np.array_equal(dom, kept)  # the full matrix is left as it was
+
+    @staticmethod
+    def subsets(rng, n):
+        """Random row subsets: without and with repeated rows, and every row."""
+        yield rng.permutation(n)[:int(rng.integers(1, n + 1))]
+        yield rng.integers(n, size=int(rng.integers(1, 2 * n + 1)))
+        yield np.arange(n)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_random_subsets(self, seed):
+        rng = np.random.default_rng(seed)
+        for f in tied_instances(seed):  # duplicate objective vectors and ties
+            for rows in self.subsets(rng, len(f)):
+                self.assert_matches_sort(f, rows)
+
+    def test_infinities_and_signed_zeros(self):
+        rng = np.random.default_rng(12)
+        zeros = np.array([-0.0, 0.0, 1.0, -np.inf, np.inf])
+        for n, m in ((2, 2), (9, 2), (40, 3), (60, 5)):
+            for values in (SPECIAL_VALUES, zeros):
+                f = rng.choice(values, size=(n, m))
+                f[0, 0], f[-1, 0] = -0.0, 0.0
+                for rows in self.subsets(rng, n):
+                    self.assert_matches_sort(f, rows)
 
 
 class TestParetoMask:

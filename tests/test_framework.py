@@ -6,7 +6,11 @@ import pytest
 from temof import (ConfigurationError, FrameworkConfig, MatingSource, Nsga3Base,
                    VariationParams, make_problem, nsga3_run, pareto_mask, sort_fronts,
                    temof_run)
-from temof.framework import stage_gate
+from temof import dominance, framework
+from temof.core import RngKey, concat, initialize_population
+from temof.framework import GenerationRecord, RunTrace, TemofResult, stage_gate
+from temof.nsga3 import environmental_selection, first_front_selection
+from temof.variation import generate_offspring
 
 
 class TestStageGate:
@@ -194,23 +198,20 @@ class TestHooks:
             assert pop_len == 20 and arch_len >= 1
 
     def test_base_factory_receives_selection_calls(self):
-        env_calls = []
-        ffs_calls = []
+        calls = []
 
         class CountingBase(Nsga3Base):
-            def environmental_selection(self, pop, n):
-                env_calls.append(len(pop))
-                return super().environmental_selection(pop, n)
+            def select(self, objectives, fronts, n):
+                calls.append(sum(front.size for front in fronts))
+                return super().select(objectives, fronts, n)
 
-            def first_front_selection(self, pop, n):
-                ffs_calls.append(len(pop))
-                return super().first_front_selection(pop, n)
-
-        res = temof_run(tiny_problem(), FrameworkConfig(n=20, max_fes=200), 1,
-                        base_factory=CountingBase)
-        gens = len(res.trace)
-        assert len(env_calls) == 2 * gens  # population step and union step
-        assert len(ffs_calls) == gens
+        # population step, then archive and union steps when there is an archive
+        for disable_archive, per_generation in ((False, 3), (True, 1)):
+            calls.clear()
+            res = temof_run(tiny_problem(), FrameworkConfig(n=20, max_fes=200), 1,
+                            base_factory=CountingBase, disable_archive=disable_archive)
+            assert len(calls) == per_generation * len(res.trace)
+            assert all(size >= 1 for size in calls)
 
     def test_determinism(self):
         problem = tiny_problem()
@@ -227,3 +228,151 @@ class TestHooks:
         a = temof_run(problem, cfg, 12)
         b = temof_run(problem, cfg, 13)
         assert not np.array_equal(a.population.x, b.population.x)
+
+
+def legacy_run(problem, config, seed, variation=VariationParams(), observer=None,
+               disable_archive=False):
+    """temof_run as three selections of populations, each sorting its own rows:
+    the loop before the row pool.  Returns the result and the base."""
+    key = RngKey(seed)
+    population = initialize_population(problem, config.n, key.stream("init"))
+    fes = len(population)
+    base = Nsga3Base(problem, config.n, key.stream("selection"))
+    p = 0.0 if disable_archive else config.p
+    gate_rng, var_rng = key.stream("gate"), key.stream("variation")
+    archive = population
+    trace = RunTrace()
+    generation = 0
+
+    def env(pop):
+        return environmental_selection(pop, config.n, base.refs, base.state, base.words)
+
+    while fes <= config.max_fes:
+        generation += 1
+        fes_before = fes
+        source = stage_gate(fes_before, config.max_fes, p, float(gate_rng.random()),
+                            config.stage_fraction)
+        parents = archive if source is MatingSource.ARCHIVE else population
+        offspring = generate_offspring(parents, config.n, variation, problem, var_rng)
+        fes += len(offspring)
+        selected = env(concat(population, offspring))
+        if disable_archive:
+            population = archive = selected
+        else:
+            archive = first_front_selection(concat(archive, offspring), config.n,
+                                            base.refs, base.state, base.words)
+            population = env(byte_sort_merge(selected, archive, config.n))
+        trace.append(GenerationRecord(generation, fes_before, source, fes))
+        if observer is not None:
+            observer(generation, fes, source, population, archive)
+    return TemofResult(population, archive, trace, fes), base
+
+
+def byte_sort_merge(a, b, n):
+    """merge_dedupe as a stable sort of the rows as byte strings."""
+    both = concat(a, b)
+    n_rows, width = both.x.shape
+    bits = both.x.view(np.uint64)
+    order = (np.argsort(bits.view(np.dtype((np.void, 8 * width))).ravel(), kind="stable")
+             if width else np.arange(n_rows))
+    ranked = bits[order]
+    first = np.ones(n_rows, dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    kept = np.zeros(n_rows, dtype=bool)
+    kept[order[first]] = True
+    keep, dropped = np.flatnonzero(kept), np.flatnonzero(~kept)
+    return both.take(np.concatenate([keep, dropped[:max(n - keep.size, 0)]]))
+
+
+def _pop_bytes(pop):
+    return pop.x.shape, pop.x.tobytes(), pop.f.tobytes()
+
+
+def _pool_run(problem, config, seed, variation, disable_archive):
+    """temof_run with every observed argument and the base recorded."""
+    seen, bases = [], []
+
+    def factory(*args):
+        bases.append(Nsga3Base(*args))
+        return bases[-1]
+
+    res = temof_run(problem, config, seed, base_factory=factory, variation=variation,
+                    disable_archive=disable_archive,
+                    observer=lambda *args: seen.append(_observed(*args)))
+    return res, bases[0], seen
+
+
+def _observed(gen, fes, source, pop, arch):
+    return gen, fes, source, _pop_bytes(pop), _pop_bytes(arch), arch is pop
+
+
+def assert_runs_equal(problem, config, seed, variation=VariationParams(),
+                      disable_archive=False):
+    res, base, seen = _pool_run(problem, config, seed, variation, disable_archive)
+    want_seen = []
+    want, want_base = legacy_run(problem, config, seed, variation,
+                                 observer=lambda *args: want_seen.append(_observed(*args)),
+                                 disable_archive=disable_archive)
+    assert _pop_bytes(res.population) == _pop_bytes(want.population)
+    assert _pop_bytes(res.archive) == _pop_bytes(want.archive)
+    assert (res.archive is res.population) == disable_archive
+    assert list(res.trace) == list(want.trace) and res.fes == want.fes
+    assert seen == want_seen
+    # the niching stream stopped at the same word
+    assert base.words.pos == want_base.words.pos
+    assert base.words.words == want_base.words.words
+    assert base.words.rng.bit_generator.state == want_base.words.rng.bit_generator.state
+    assert base.state.ideal.tobytes() == want_base.state.ideal.tobytes()
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(30)
+    cases = []
+    for m in (2, 3, 4, 5):
+        for p in (0.0, 0.5, 1.0):
+            for stage_fraction in (0.0, 1.0):
+                for disable_archive in (False, True):
+                    n = int(rng.integers(m, 41))
+                    copies = bool(rng.integers(2))  # children that copy their parents
+                    cases.append((m, p, stage_fraction, disable_archive, n, copies))
+    return cases
+
+
+class TestRowPoolMatchesLegacyLoop:
+    """The pooled loop against the three-selection loop it replaced."""
+
+    @pytest.mark.parametrize("m, p, stage_fraction, disable_archive, n, copies",
+                             _oracle_cases())
+    def test_byte_equal(self, m, p, stage_fraction, disable_archive, n, copies):
+        problem = (make_problem("ZDT3", n_var=6) if m == 2 and n % 2 else
+                   make_problem("DTLZ7" if n % 3 == 0 else "DTLZ2", n_obj=m))
+        variation = (VariationParams(pc=0.0, pm=0.0) if copies and n % 2
+                     else VariationParams(pc=0.5, pm=0.05) if copies else VariationParams())
+        config = FrameworkConfig(n=n, max_fes=n * 9 + 3, p=p, stage_fraction=stage_fraction)
+        assert_runs_equal(problem, config, n + m, variation, disable_archive)
+
+    @pytest.mark.parametrize("variation", [VariationParams(), VariationParams(pc=0.0, pm=0.0)])
+    def test_byte_equal_when_every_hash_collides(self, monkeypatch, variation):
+        monkeypatch.setattr(framework, "row_hashes",
+                            lambda x: np.zeros(x.shape[0], dtype=np.uint64))
+        config = FrameworkConfig(n=16, max_fes=300, p=0.5)
+        assert_runs_equal(make_problem("DTLZ2", n_var=8), config, 4, variation)
+
+
+@pytest.mark.parametrize("run", [
+    lambda problem: temof_run(problem, FrameworkConfig(n=24, max_fes=400), 3),
+    lambda problem: nsga3_run(problem, 24, 400, 3),
+], ids=["temof_run", "nsga3_run"])
+def test_one_domination_matrix_per_generation(monkeypatch, run):
+    calls = []
+    counted = dominance.domination_matrix
+
+    def counting(f):
+        calls.append(len(f))
+        return counted(f)
+
+    for module in (dominance, framework):
+        monkeypatch.setattr(module, "domination_matrix", counting)
+    res = run(tiny_problem())
+    fes = res[1] if isinstance(res, tuple) else res.fes
+    assert len(calls) == (fes - 24) // 24  # one per generation of 24 offspring
