@@ -234,19 +234,19 @@ def row_hashes(x: np.ndarray) -> np.ndarray:
     return x.view(np.uint64) @ _odd_words(x.shape[1])
 
 
-def first_copies(x: np.ndarray, hashes: np.ndarray, n: int) -> np.ndarray:
+def first_copies(x: np.ndarray, n: int) -> np.ndarray:
     """Positions of the rows of x kept by deduplication.
 
     A row is kept when no earlier row has the same bytes, and kept rows come
     in ascending order.  If fewer than n are kept, the earliest dropped
     copies follow them, up to n positions in all; n=0 is a pure dedupe.
-    hashes holds row_hashes(x): rows are grouped by a stable sort of their
-    hashes, and neighbours with equal hashes are compared byte for byte.
-    Should two distinct rows share a hash, the rows themselves are sorted
-    as byte strings instead.
+    Rows are grouped by a stable sort of their row_hashes, and neighbours
+    with equal hashes are compared byte for byte.  Should two distinct rows
+    share a hash, the rows themselves are sorted as byte strings instead.
     """
     n_rows, width = x.shape
     bits = x.view(np.uint64)
+    hashes = row_hashes(x)
     # a stable sort puts every copy right after the first occurrence of its key
     order = np.argsort(hashes, kind="stable")
     ranked = hashes[order]
@@ -273,7 +273,7 @@ def merge_dedupe(a: Population, b: Population, *, n: int) -> Population:
     n=0 is a pure dedupe (first_copies).
     """
     both = concat(a, b)
-    return both.take(first_copies(both.x, row_hashes(both.x), n))
+    return both.take(first_copies(both.x, n))
 
 
 def initialize_population(problem: ProblemSpec, n: int,

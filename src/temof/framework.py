@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (ConfigurationError, Population, ProblemSpec, RngKey, first_copies,
-                   initialize_population, row_hashes)
+from .core import (ConfigurationError, Population, ProblemSpec, RngKey, concat, first_copies,
+                   initialize_population)
 from .dominance import domination_matrix, subset_fronts
 from .nsga3 import Nsga3Base
 from .variation import VariationParams, generate_offspring
@@ -99,10 +99,6 @@ class TemofResult:
     fes: int
 
 
-def _members(x: np.ndarray, f: np.ndarray, rows: np.ndarray) -> Population:
-    return Population._own(x[rows], f[rows])
-
-
 def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
               *, base_factory=Nsga3Base, variation: VariationParams = VariationParams(),
               observer=None, disable_archive: bool = False) -> TemofResult:
@@ -116,26 +112,21 @@ def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
     then the population.  Its gate has p = 0, and the gate stream is a
     stream of its own, so its draws affect no other.
 
-    The rows of the population and the archive live in one pool; with an
-    archive, each decision vector is hashed once, when its row is born.
+    The population and the archive are index arrays into one pool of rows.
     Each generation rebuilds the pool from the population, the archive's
     other rows and the offspring, and builds one domination matrix over it,
     from which every selection of the generation reads its fronts.
     """
     key = seed if isinstance(seed, RngKey) else RngKey(int(seed))
     n = config.n
-    initial = initialize_population(problem, n, key.stream("init"))
-    fes = len(initial)
+    pool = initialize_population(problem, n, key.stream("init"))
+    fes = len(pool)
     base = base_factory(problem, n, key.stream("selection"))
     p = 0.0 if disable_archive else config.p
     gate_rng = key.stream("gate")
     var_rng = key.stream("variation")
-    # the pool: x and f of its rows, which population and archive index, and
-    # the hashes of the x rows, which only the union's dedupe reads
-    x, f = initial.x, initial.f
     population = np.arange(n)
     archive = None if disable_archive else population
-    hashes = None if disable_archive else row_hashes(x)
     trace = RunTrace()
     generation = 0
     while fes <= config.max_fes:
@@ -144,38 +135,36 @@ def temof_run(problem: ProblemSpec, config: FrameworkConfig, seed: RngKey | int,
         source = stage_gate(fes_before, config.max_fes, p, float(gate_rng.random()),
                             config.stage_fraction)
         parents = archive if source is MatingSource.ARCHIVE else population
-        offspring = generate_offspring(_members(x, f, parents), n, variation, problem, var_rng)
+        offspring = generate_offspring(pool.take(parents), n, variation, problem, var_rng)
         fes += len(offspring)
         # the next pool: the population in its order, the other rows of the
         # archive, the offspring
         keep = population
         if archive is not None:
-            moved = np.full(len(x), -1)  # each kept row's index in the next pool
+            moved = np.full(len(pool), -1)  # each kept row's index in the next pool
             moved[population] = np.arange(n)
             others = archive[moved[archive] < 0]
             moved[others] = np.arange(n, n + others.size)
             archive = moved[archive]
             keep = np.concatenate([population, others])
-            hashes = np.concatenate([hashes[keep], row_hashes(offspring.x)])
-        x = np.concatenate([x[keep], offspring.x])
-        f = np.concatenate([f[keep], offspring.f])
+        pool = concat(pool.take(keep), offspring)
         population = np.arange(n)
-        born = np.arange(keep.size, len(x))
-        dom = domination_matrix(f)
-        selected = _select(base, f, dom, np.concatenate([population, born]), n, n)
+        born = np.arange(keep.size, len(pool))
+        dom = domination_matrix(pool.f)
+        selected = _select(base, pool.f, dom, np.concatenate([population, born]), n, n)
         if archive is None:
             population = selected
         else:
-            archive = _select(base, f, dom, np.concatenate([archive, born]), n, 1)
+            archive = _select(base, pool.f, dom, np.concatenate([archive, born]), n, 1)
             # variation can copy a parent bit for bit, so the union is topped
             # back up to n with the earliest dropped copies
             union = np.concatenate([selected, archive])
-            union = union[first_copies(x[union], hashes[union], n)]
-            population = _select(base, f, dom, union, n, n)
+            union = union[first_copies(pool.x[union], n)]
+            population = _select(base, pool.f, dom, union, n, n)
         trace.append(GenerationRecord(generation, fes_before, source, fes))
         if observer is not None:
-            observer(generation, fes, source, *_reported(x, f, population, archive))
-    return TemofResult(*_reported(x, f, population, archive), trace, fes)
+            observer(generation, fes, source, *_reported(pool, population, archive))
+    return TemofResult(*_reported(pool, population, archive), trace, fes)
 
 
 def _select(base, f: np.ndarray, dom: np.ndarray, rows: np.ndarray, n: int,
@@ -188,9 +177,9 @@ def _select(base, f: np.ndarray, dom: np.ndarray, rows: np.ndarray, n: int,
     return base.select(f, fronts, n)
 
 
-def _reported(x: np.ndarray, f: np.ndarray, population: np.ndarray,
+def _reported(pool: Population, population: np.ndarray,
               archive: np.ndarray | None) -> tuple[Population, Population]:
     """Population and archive as populations; without an archive, the
     population twice."""
-    pop = _members(x, f, population)
-    return pop, pop if archive is None else _members(x, f, archive)
+    pop = pool.take(population)
+    return pop, pop if archive is None else pool.take(archive)

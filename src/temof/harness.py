@@ -555,7 +555,8 @@ class SummaryTable:
     def to_markdown(self) -> str:
         rows = self.to_csv_rows()
         rows[0][0] = "Problem"
-        lines = ["| " + " | ".join(row) + " |" for row in rows]
+        lines = ["| " + " | ".join(cell.replace("|", "\\|") for cell in row) + " |"
+                 for row in rows]
         lines.insert(1, "|" + "|".join(["---"] * len(rows[0])) + "|")
         lines.append("")
         for algo in self.algorithms[1:]:  # the base comes first

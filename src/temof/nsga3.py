@@ -392,12 +392,6 @@ def _keep(f: np.ndarray, fronts: list[np.ndarray], n: int, refs: ReferencePointS
     return np.concatenate([members[:k], chosen]) if k else chosen
 
 
-def _fill(pop: Population, fronts: list[np.ndarray], n: int, refs: ReferencePointSet,
-          state: NormalizationState, stream: WordStream) -> Population:
-    """The members of pop that _keep keeps."""
-    return pop.take(_keep(pop.f, fronts, n, refs, state, stream))
-
-
 def environmental_selection(pop: Population, n: int, refs: ReferencePointSet,
                             state: NormalizationState,
                             stream: WordStream) -> Population:
@@ -408,7 +402,7 @@ def environmental_selection(pop: Population, n: int, refs: ReferencePointSet,
     """
     # a population that fits is kept in its own order, unsorted
     fronts = sort_fronts(pop.f, cover=n) if len(pop) > n else [np.arange(len(pop))]
-    return _fill(pop, fronts, n, refs, state, stream)
+    return pop.take(_keep(pop.f, fronts, n, refs, state, stream))
 
 
 def first_front_selection(pop: Population, n: int, refs: ReferencePointSet,
@@ -419,7 +413,7 @@ def first_front_selection(pop: Population, n: int, refs: ReferencePointSet,
     May return fewer than n members; the result is always mutually
     non-dominated.
     """
-    return _fill(pop, sort_fronts(pop.f, cover=1), n, refs, state, stream)
+    return pop.take(_keep(pop.f, sort_fronts(pop.f, cover=1), n, refs, state, stream))
 
 
 class Nsga3Base:

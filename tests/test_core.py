@@ -240,7 +240,11 @@ class TestConcatAndMerge:
             seen.add(row.tobytes())
         return keep + dropped[:max(n - len(keep), 0)]
 
-    def test_first_copies_with_true_and_forced_hash_collisions(self):
+    # the hash, a constant, and a hash of one bit: any function of the bytes
+    HASHES = (row_hashes, lambda x: np.zeros(x.shape[0], dtype=np.uint64),
+              lambda x: row_hashes(x) & np.uint64(1))
+
+    def test_first_copies_with_true_and_forced_hash_collisions(self, monkeypatch):
         rng = np.random.default_rng(9)
         values = np.array([0.0, -0.0, 0.25, 1.0, -np.inf])
         for _ in range(200):
@@ -248,17 +252,18 @@ class TestConcatAndMerge:
             x = values[rng.integers(values.size, size=(rows, width))]
             for n in (0, int(rng.integers(0, rows + 3))):
                 want = self.first_copies_oracle(x, n)
-                # the hash, a constant, and a hash of one bit: any function of the bytes
-                for hashes in (row_hashes(x), np.zeros(rows, dtype=np.uint64),
-                               row_hashes(x) & np.uint64(1)):
-                    got = first_copies(x, hashes, n)
+                for hashes in self.HASHES:
+                    monkeypatch.setattr(core, "row_hashes", hashes)
+                    got = first_copies(x, n)
                     assert got.dtype == np.intp and got.tolist() == want
 
-    def test_signed_zeros_hash_apart(self):
+    def test_signed_zeros_hash_apart(self, monkeypatch):
         x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
         hashes = row_hashes(x)
         assert hashes[0] == hashes[2] != hashes[1]
-        assert first_copies(x, hashes, 0).tolist() == [0, 1]
+        for patched in self.HASHES:  # and stay apart when their hashes collide
+            monkeypatch.setattr(core, "row_hashes", patched)
+            assert first_copies(x, 0).tolist() == [0, 1]
 
     def test_merge_when_every_hash_collides(self, monkeypatch):
         monkeypatch.setattr(core, "row_hashes", lambda x: np.zeros(x.shape[0], dtype=np.uint64))

@@ -6,7 +6,7 @@ import pytest
 from temof import (ConfigurationError, FrameworkConfig, MatingSource, Nsga3Base,
                    VariationParams, make_problem, nsga3_run, pareto_mask, sort_fronts,
                    temof_run)
-from temof import dominance, framework
+from temof import core, dominance, framework
 from temof.core import RngKey, concat, initialize_population
 from temof.framework import GenerationRecord, RunTrace, TemofResult, stage_gate
 from temof.nsga3 import environmental_selection, first_front_selection
@@ -353,8 +353,7 @@ class TestRowPoolMatchesLegacyLoop:
 
     @pytest.mark.parametrize("variation", [VariationParams(), VariationParams(pc=0.0, pm=0.0)])
     def test_byte_equal_when_every_hash_collides(self, monkeypatch, variation):
-        monkeypatch.setattr(framework, "row_hashes",
-                            lambda x: np.zeros(x.shape[0], dtype=np.uint64))
+        monkeypatch.setattr(core, "row_hashes", lambda x: np.zeros(x.shape[0], dtype=np.uint64))
         config = FrameworkConfig(n=16, max_fes=300, p=0.5)
         assert_runs_equal(make_problem("DTLZ2", n_var=8), config, 4, variation)
 
@@ -364,15 +363,16 @@ class TestRowPoolMatchesLegacyLoop:
     lambda problem: nsga3_run(problem, 24, 400, 3),
 ], ids=["temof_run", "nsga3_run"])
 def test_one_domination_matrix_per_generation(monkeypatch, run):
-    calls = []
-    counted = dominance.domination_matrix
+    """One domination matrix over the pool, and one concat that rebuilds it."""
+    calls = {"domination_matrix": [], "concat": []}
+    for name, home in (("domination_matrix", dominance), ("concat", core)):
+        def counting(*args, _counted=getattr(home, name), _calls=calls[name]):
+            _calls.append(args)
+            return _counted(*args)
 
-    def counting(f):
-        calls.append(len(f))
-        return counted(f)
-
-    for module in (dominance, framework):
-        monkeypatch.setattr(module, "domination_matrix", counting)
+        for module in (home, framework):
+            monkeypatch.setattr(module, name, counting)
     res = run(tiny_problem())
     fes = res[1] if isinstance(res, tuple) else res.fes
-    assert len(calls) == (fes - 24) // 24  # one per generation of 24 offspring
+    generations = (fes - 24) // 24  # of 24 offspring each
+    assert len(calls["domination_matrix"]) == len(calls["concat"]) == generations

@@ -811,6 +811,23 @@ class TestSummarize:
         assert csv_path.read_text().startswith("problem,base,contender")
         assert "signed-rank" in md_path.read_text()
 
+    def test_pipes_in_labels_are_escaped_in_markdown_only(self, tmp_path):
+        names = {"base": "nsga3|a", "contender": "temof|p=0.5", "P1": "P|1"}
+        records = [replace(rec, problem=names.get(rec.problem, rec.problem),
+                           algorithm=names[rec.algorithm]) for rec in synthetic_records()]
+        table = summarize(records, "nsga3|a", "IGD")
+        csv_path, md_path = write_summary(table, tmp_path)
+        rows = md_path.read_text().split("\n\n")[0].splitlines()
+        width = len(rows[1].split("|")) - 2  # the delimiter row
+        assert width == 3
+        for row in rows:  # a cell boundary is a pipe without a backslash before it
+            assert len(re.split(r"(?<!\\)\|", row)) - 2 == width, row
+        assert r"| Problem | nsga3\|a | temof\|p=0.5 |" in rows
+        with open(csv_path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == table.to_csv_rows()
+        assert table.to_csv_rows()[0] == ["problem", "nsga3|a", "temof|p=0.5"]
+        assert table.to_csv_rows()[1][0] == "P|1"
+
     def test_write_ranks(self, tmp_path):
         path = write_ranks(synthetic_records(), tmp_path)
         rows = read_rows(path)

@@ -7,7 +7,7 @@ import pytest
 from temof import (ConfigurationError, FrameworkConfig, Nsga3Base, Population,
                    ReferencePointSet, UsageError, das_dennis, make_problem, nsga3,
                    nsga3_run, rng_stream, sort_fronts, temof_run)
-from temof.nsga3 import (NormalizationState, WordStream, _fill, _niche_select, associate,
+from temof.nsga3 import (NormalizationState, WordStream, _keep, _niche_select, associate,
                          choose_divisions, environmental_selection, first_front_selection,
                          normalize, reference_points_for)
 
@@ -392,7 +392,8 @@ def test_fronts_that_fit_lower_the_ideal_as_normalize_does():
         fronts = sort_fronts(f)
         members = np.concatenate(fronts)
         words = WordStream(np.random.default_rng(trial))
-        out = _fill(pop, fronts, size + int(rng.integers(0, 3)), das_dennis(m, 2), state, words)
+        out = pop.take(_keep(f, fronts, size + int(rng.integers(0, 3)), das_dennis(m, 2),
+                             state, words))
         assert words.pos == 0 and words.words == []  # nothing niched, no word read
         normalize(f[members], state2)
         assert state.ideal.tobytes() == state2.ideal.tobytes()
@@ -927,8 +928,8 @@ class TestFirstFrontSelection:
 
 
 def _fill_oracle(pop, selected, critical, n, refs, state, rng):
-    """_fill with separate selected and critical index arrays, as first written,
-    niching with the scalar-draw oracle."""
+    """The fill rule with separate selected and critical index arrays, as first
+    written, niching with the scalar-draw oracle."""
     if critical is None:
         normalize(pop.f[selected], state)
         return pop.take(selected)
