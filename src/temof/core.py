@@ -8,7 +8,6 @@ marked read-only and every transformation returns a new Population.
 
 from __future__ import annotations
 
-import functools
 import zlib
 from dataclasses import dataclass
 from typing import Callable
@@ -215,49 +214,22 @@ def concat(a: Population, b: Population) -> Population:
     return Population._own(np.concatenate([a.x, b.x]), np.concatenate([a.f, b.f]))
 
 
-@functools.lru_cache(maxsize=64)
-def _odd_words(width: int) -> np.ndarray:
-    """width fixed odd 64-bit multipliers, one per column of a row hash."""
-    words = np.random.default_rng(width).integers(0, 1 << 64, size=width, dtype=np.uint64)
-    words |= np.uint64(1)
-    words.flags.writeable = False
-    return words
-
-
-def row_hashes(x: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of the bytes of each row of a C-contiguous float matrix.
-
-    The hash is the sum of the row's 64-bit words times odd constants,
-    modulo 2**64, so rows that differ in a single word never share a hash;
-    first_copies confirms equal hashes on the bytes.
-    """
-    return x.view(np.uint64) @ _odd_words(x.shape[1])
-
-
 def first_copies(x: np.ndarray, n: int) -> np.ndarray:
     """Positions of the rows of x kept by deduplication.
 
     A row is kept when no earlier row has the same bytes, and kept rows come
     in ascending order.  If fewer than n are kept, the earliest dropped
     copies follow them, up to n positions in all; n=0 is a pure dedupe.
-    Rows are grouped by a stable sort of their row_hashes, and neighbours
-    with equal hashes are compared byte for byte.  Should two distinct rows
-    share a hash, the rows themselves are sorted as byte strings instead.
+    Rows are grouped by a stable sort of their bytes, so -0.0 and 0.0 differ.
     """
     n_rows, width = x.shape
-    bits = x.view(np.uint64)
-    hashes = row_hashes(x)
-    # a stable sort puts every copy right after the first occurrence of its key
-    order = np.argsort(hashes, kind="stable")
-    ranked = hashes[order]
-    copy = ranked[1:] == ranked[:-1]
-    later, earlier = order[1:][copy], order[:-1][copy]
-    if not (bits[later] == bits[earlier]).all():  # a hash collision
-        # with no columns all rows are copies
-        order = (np.argsort(bits.view(np.dtype((np.void, 8 * width))).ravel(), kind="stable")
-                 if width else np.arange(n_rows))
-        ranked = bits[order]
-        copy = (ranked[1:] == ranked[:-1]).all(axis=1)
+    bits = np.ascontiguousarray(x).view(np.uint64)  # a row's bytes must be adjacent
+    # a stable sort puts every copy right after the first occurrence of its bytes;
+    # with no columns all rows are copies
+    order = (np.argsort(bits.view(np.dtype((np.void, 8 * width))).ravel(), kind="stable")
+             if width else np.arange(n_rows))
+    ranked = bits[order]
+    copy = (ranked[1:] == ranked[:-1]).all(axis=1)
     kept = np.ones(n_rows, dtype=bool)
     kept[order[1:][copy]] = False
     keep, dropped = np.flatnonzero(kept), np.flatnonzero(~kept)

@@ -3,9 +3,7 @@ import pytest
 
 from temof import (ConfigurationError, EvaluationError, Population, ProblemSpec,
                    RngKey, UsageError, rng_stream)
-from temof import core
-from temof.core import (concat, first_copies, initialize_population, merge_dedupe,
-                        row_hashes)
+from temof.core import concat, first_copies, initialize_population, merge_dedupe
 
 
 def sphere_problem(n_var=4, n_obj=2):
@@ -240,34 +238,31 @@ class TestConcatAndMerge:
             seen.add(row.tobytes())
         return keep + dropped[:max(n - len(keep), 0)]
 
-    # the hash, a constant, and a hash of one bit: any function of the bytes
-    HASHES = (row_hashes, lambda x: np.zeros(x.shape[0], dtype=np.uint64),
-              lambda x: row_hashes(x) & np.uint64(1))
-
-    def test_first_copies_with_true_and_forced_hash_collisions(self, monkeypatch):
+    def test_first_copies_with_true_and_forced_hash_collisions(self):
+        # few distinct values, so most rows repeat; widths 0-3 and the n top-up
         rng = np.random.default_rng(9)
         values = np.array([0.0, -0.0, 0.25, 1.0, -np.inf])
         for _ in range(200):
             rows, width = int(rng.integers(0, 15)), int(rng.integers(0, 4))
             x = values[rng.integers(values.size, size=(rows, width))]
             for n in (0, int(rng.integers(0, rows + 3))):
-                want = self.first_copies_oracle(x, n)
-                for hashes in self.HASHES:
-                    monkeypatch.setattr(core, "row_hashes", hashes)
-                    got = first_copies(x, n)
-                    assert got.dtype == np.intp and got.tolist() == want
+                got = first_copies(x, n)
+                assert got.dtype == np.intp and got.tolist() == self.first_copies_oracle(x, n)
 
-    def test_signed_zeros_hash_apart(self, monkeypatch):
+    def test_signed_zeros_hash_apart(self):
         x = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]])
-        hashes = row_hashes(x)
-        assert hashes[0] == hashes[2] != hashes[1]
-        for patched in self.HASHES:  # and stay apart when their hashes collide
-            monkeypatch.setattr(core, "row_hashes", patched)
-            assert first_copies(x, 0).tolist() == [0, 1]
+        # also in a column slice whose middle row has the sign bit in two words
+        sliced = np.array([[0.0, 7.0, 0.0], [-0.0, 7.0, -0.0], [0.0, 7.0, 0.0]])[:, ::2]
+        for rows in (x, sliced):
+            assert first_copies(rows, 0).tolist() == [0, 1]
 
-    def test_merge_when_every_hash_collides(self, monkeypatch):
-        monkeypatch.setattr(core, "row_hashes", lambda x: np.zeros(x.shape[0], dtype=np.uint64))
-        self.test_merge_matches_row_loop_oracle()
+    def test_first_copies_of_rows_that_are_not_contiguous(self):
+        rng = np.random.default_rng(11)
+        wide = np.array([0.0, 0.25, 0.5, 1.0])[rng.integers(4, size=(60, 6))]
+        for x in (np.asfortranarray(wide[:, :3]), wide[:, 1:4], wide[:, ::2]):
+            assert not x.flags.c_contiguous
+            for n in (0, 60):
+                assert first_copies(x, n).tolist() == self.first_copies_oracle(x, n)
 
     def test_merge_dim_mismatch(self):
         a = Population(np.zeros((1, 2)), np.zeros((1, 2)))

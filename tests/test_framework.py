@@ -351,12 +351,6 @@ class TestRowPoolMatchesLegacyLoop:
         config = FrameworkConfig(n=n, max_fes=n * 9 + 3, p=p, stage_fraction=stage_fraction)
         assert_runs_equal(problem, config, n + m, variation, disable_archive)
 
-    @pytest.mark.parametrize("variation", [VariationParams(), VariationParams(pc=0.0, pm=0.0)])
-    def test_byte_equal_when_every_hash_collides(self, monkeypatch, variation):
-        monkeypatch.setattr(core, "row_hashes", lambda x: np.zeros(x.shape[0], dtype=np.uint64))
-        config = FrameworkConfig(n=16, max_fes=300, p=0.5)
-        assert_runs_equal(make_problem("DTLZ2", n_var=8), config, 4, variation)
-
 
 @pytest.mark.parametrize("run", [
     lambda problem: temof_run(problem, FrameworkConfig(n=24, max_fes=400), 3),
