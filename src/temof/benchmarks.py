@@ -36,16 +36,11 @@ def _dtlz_g2(tail: np.ndarray) -> np.ndarray:
 
 
 def _shape(scale: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """DTLZ objectives f_i = scale * prod(head[:, :M-1-i]) * tail[:, M-1-i]; f_0 has no tail."""
-    m = head.shape[1] + 1
-    f = np.empty((head.shape[0], m))
-    for i in range(m):
-        val = scale.copy()
-        if m - 1 - i > 0:
-            val *= np.prod(head[:, :m - 1 - i], axis=1)
-        if i > 0:
-            val *= tail[:, m - 1 - i]
-        f[:, i] = val
+    """DTLZ f_i = scale * prod(head[:, :M-1-i]) * tail[:, M-1-i], in that order; f_0 has no tail."""
+    f = np.ones((head.shape[0], head.shape[1] + 1))
+    np.cumprod(head, axis=1, out=f[:, -2::-1])
+    f *= scale[:, None]
+    f[:, 1:] *= tail[:, ::-1]
     return f
 
 

@@ -98,15 +98,12 @@ def gd(solution: np.ndarray, reference: np.ndarray) -> IndicatorResult:
 
 
 def _hv_2d(points: np.ndarray, ref: np.ndarray) -> float:
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    pts = points[order]
-    area = 0.0
-    ceiling = ref[1]
-    for x, y in pts:
-        if y < ceiling:
-            area += (ref[0] - x) * (ceiling - y)
-            ceiling = y
-    return area
+    # slabs summed in sweep order by `np.cumsum`: a pairwise `np.sum` moves last bits
+    x, y = points[np.lexsort((points[:, 1], points[:, 0]))].T
+    ceiling = np.minimum.accumulate(np.concatenate((ref[1:2], y)))[:-1]
+    below = y < ceiling
+    slabs = (ref[0] - x[below]) * (ceiling[below] - y[below])
+    return np.cumsum(np.concatenate(([0.0], slabs)))[-1]
 
 
 def _sorted_levels(values: np.ndarray) -> np.ndarray:

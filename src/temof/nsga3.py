@@ -150,15 +150,11 @@ def normalize(objs: np.ndarray, state: NormalizationState) -> np.ndarray:
     f = np.atleast_2d(np.asarray(objs, dtype=float))
     m = f.shape[1]
     shifted = f - state.lower(f)
-    weights = np.full((m, m), 1e-6)
-    np.fill_diagonal(weights, 1.0)
-    # asf[j, i]: scalarized value of point i for axis j, the max taken one
-    # objective column at a time (exact: a max does not depend on order)
-    cols = np.ascontiguousarray(shifted.T)
-    asf = cols[0] / weights[:, :1]
-    for k in range(1, m):
-        np.maximum(asf, cols[k] / weights[:, k:k + 1], out=asf)
-    extremes = shifted[asf.argmin(axis=1)]
+    # plane[j, k, i]: objective k of point i over axis j's weight (x / 1.0 is x)
+    cols = shifted.T
+    plane = np.repeat(cols[None] / 1e-6, m, axis=0)
+    plane[np.diag_indices(m)] = cols
+    extremes = shifted[plane.max(axis=1).argmin(axis=1)]
     key = extremes.tobytes()
     if key != state.extremes:
         state.extremes, state.solved = key, _solve_intercepts(extremes)

@@ -188,7 +188,7 @@ class TestShapeKernel:
     # an oracle, not a recorded digest: DTLZ4's and DTLZ6's powers depend on
     # numpy's SIMD level, which the oracle shares with the evaluator
     @pytest.mark.parametrize("name", sorted(DTLZ_ORACLES))
-    @pytest.mark.parametrize("m", [2, 3, 5, 8])
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 10])
     def test_evaluator_is_byte_equal_to_oracle(self, name, m):
         problem = make_problem(name, n_obj=m)
         x = np.random.default_rng(m).random((64, problem.n_var))

@@ -21,6 +21,34 @@ def hv_grid_oracle_2d(points, ref, cells=2000):
     return covered.sum() * cell
 
 
+def hv_2d_loop_oracle(points, ref):
+    """metrics._hv_2d as first written: one sorted point at a time."""
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    area = 0.0
+    ceiling = ref[1]
+    for x, y in points[order]:
+        if y < ceiling:
+            area += (ref[0] - x) * (ceiling - y)
+            ceiling = y
+    return area
+
+
+def hv_exact_cases(m, count, rng):
+    """Point sets with fronts, tied coordinates, duplicates, box-edge points and -0.0."""
+    for case in range(count):
+        n = int(rng.integers(1, 120 if m == 2 else 40))
+        pts = rng.random((n, m))
+        if case % 2:  # a front: no point dominates another, so each adds a slab
+            pts /= pts.sum(axis=1, keepdims=True)
+        if case % 3 == 0:  # ties on a lattice, with -0.0 beside 0.0
+            pts = np.round(pts * 4) / 4
+            pts[rng.random(pts.shape) < 0.2] = -0.0
+        pts = np.vstack([pts, pts[rng.integers(0, n, n // 3)]])  # duplicates
+        # a reference point some points touch, so they lie on the box edge
+        ref = pts.max(axis=0) if case % 4 == 0 else np.ones(m)
+        yield pts, ref
+
+
 def hv_monte_carlo_oracle(points, ref, samples, rng, rows=4096):
     """_hv_monte_carlo as first written: reduce over the objective axis."""
     lo = points.min(axis=0)
@@ -261,6 +289,19 @@ class TestHvExact:
         exact = hv(pts, [1.1, 1.1, 1.1]).value
         mc = hv(pts, [1.1, 1.1, 1.1], mode="monte_carlo", samples=400_000).value
         assert abs(exact - mc) / exact < 0.02
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_bits_match_the_point_loop(self, monkeypatch, m):
+        # exact HV sums its slabs in sweep order; a pairwise sum moves last bits
+        cases = list(hv_exact_cases(m, 150, np.random.default_rng(33 + m)))
+        values = [hv(pts, ref, mode="exact").value for pts, ref in cases]
+        for pts, ref in cases:
+            inside = pts[(pts < ref).all(axis=1), :2]
+            assert (float(metrics._hv_2d(inside, ref[:2])).hex()
+                    == float(hv_2d_loop_oracle(inside, ref[:2])).hex())
+        monkeypatch.setattr(metrics, "_hv_2d", hv_2d_loop_oracle)
+        for (pts, ref), value in zip(cases, values):
+            assert value.hex() == hv(pts, ref, mode="exact").value.hex()
 
     def test_exact_mode_rejects_many_objectives(self):
         with pytest.raises(UsageError):
