@@ -13,7 +13,7 @@ import numpy as np
 from .core import UsageError, rng_stream
 
 MC_DEFAULT_SAMPLES = 1_000_000
-_MC_CHUNK_BYTES = 8 * 2**20  # working memory of one Monte Carlo chunk
+_MC_CHUNK_BYTES = 2 * 2**20  # working memory of one Monte Carlo chunk
 _MC_TABLE_BYTES = 8 * 2**20  # cap on the Monte Carlo lookup tables
 _MC_BUCKETS = 4096  # lookup-table buckets per objective, at most
 _DISTANCE_BLOCK = 2**15  # entries of one distance plane (256 KiB), so it stays in cache

@@ -48,32 +48,27 @@ def mating_pool(source: Population, n: int, rng: np.random.Generator) -> np.ndar
     return pairs
 
 
-def sbx_batch(p1: np.ndarray, p2: np.ndarray, params: VariationParams,
+def sbx_batch(parents: np.ndarray, params: VariationParams,
               lower: np.ndarray, upper: np.ndarray,
-              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Simulated binary crossover on matched parent matrices.
+              rng: np.random.Generator) -> np.ndarray:
+    """Simulated binary crossover on a (2, pairs, n_var) plane of parent pairs.
 
+    Returns the children in the same layout, child k of a pair on plane k.
     Each variable recombines independently with probability pc; untouched
-    variables copy straight through.  Before clamping, c1 + c2 == p1 + p2.
+    variables copy straight through.  Before clamping, the two children of a
+    pair sum to its two parents.
     """
-    p1 = np.atleast_2d(np.asarray(p1, dtype=float))
-    p2 = np.atleast_2d(np.asarray(p2, dtype=float))
-    if p1.shape != p2.shape:
-        raise UsageError(f"parent shapes differ: {p1.shape} vs {p2.shape}")
-    # Generator.random fills in order: the planes are the two draws of p1's shape
-    do, u = rng.random((2, *p1.shape))
+    parents = np.asarray(parents, dtype=float)
+    do, u = rng.random(parents.shape)  # two draws of one parent matrix's shape, in order
     exp = 1.0 / (params.eta_c + 1.0)
     beta = np.where(u <= 0.5, 2.0 * u, 0.5 / (1.0 - u)) ** exp
     if params.pc < 1.0:  # a draw in [0, 1) is always below pc == 1
         # beta == 1 leaves both children on the parents
         beta = np.where(do < params.pc, beta, 1.0)
-    plus, minus = 1.0 + beta, 1.0 - beta
-    c1 = 0.5 * (plus * p1 + minus * p2)
-    c2 = 0.5 * (minus * p1 + plus * p2)
-    for c in (c1, c2):
-        np.maximum(c, lower, out=c)
-        np.minimum(c, upper, out=c)
-    return c1, c2
+    children = 0.5 * ((1.0 + beta) * parents + (1.0 - beta) * parents[::-1])
+    np.maximum(children, lower, out=children)
+    np.minimum(children, upper, out=children)
+    return children
 
 
 def mutate_batch(x: np.ndarray, params: VariationParams,
@@ -113,8 +108,7 @@ def generate_offspring(source: Population, n: int, params: VariationParams,
     evaluation (n FEs).
     """
     pairs = mating_pool(source, n, rng)
-    c1, c2 = sbx_batch(source.x[pairs[:, 0]], source.x[pairs[:, 1]],
-                       params, problem.lower, problem.upper, rng)
-    children = np.concatenate([c1, c2])[:n]
+    children = sbx_batch(source.x[pairs.T], params, problem.lower, problem.upper, rng)
+    children = children.reshape(-1, problem.n_var)[:n]  # all first children, then all second
     children = mutate_batch(children, params, problem.lower, problem.upper, rng)
     return Population(children, problem.evaluate_batch(children))

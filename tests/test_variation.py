@@ -63,51 +63,43 @@ class TestSbx:
         # bounds wide enough that no child can hit them
         n = 12
         lower, upper = np.full(n, -1e9), np.full(n, 1e9)
-        rng = np.random.default_rng(11)
-        p1 = rng.random((40, n))
-        p2 = rng.random((40, n))
-        c1, c2 = sbx_batch(p1, p2, VariationParams(), lower, upper,
-                           np.random.default_rng(5))
-        assert np.allclose(c1 + c2, p1 + p2, atol=1e-9)
+        parents = np.random.default_rng(11).random((2, 40, n))
+        children = sbx_batch(parents, VariationParams(), lower, upper,
+                             np.random.default_rng(5))
+        assert children.shape == parents.shape
+        assert np.allclose(children.sum(axis=0), parents.sum(axis=0), atol=1e-9)
 
     def test_children_respect_bounds(self):
         n = 8
         lower, upper = np.zeros(n), np.ones(n)
         rng = np.random.default_rng(12)
         for _ in range(20):
-            p1, p2 = rng.random((1, n)), rng.random((1, n))
-            c1, c2 = sbx_batch(p1, p2, VariationParams(eta_c=0.5), lower, upper, rng)
-            for c in (c1, c2):
-                assert (c >= lower).all() and (c <= upper).all()
+            children = sbx_batch(rng.random((2, 1, n)), VariationParams(eta_c=0.5),
+                                 lower, upper, rng)
+            assert (children >= lower).all() and (children <= upper).all()
 
     def test_pc_zero_copies_parents(self):
         n = 5
-        p1, p2 = np.full((1, n), 0.2), np.full((1, n), 0.8)
-        c1, c2 = sbx_batch(p1, p2, VariationParams(pc=0.0),
-                           np.zeros(n), np.ones(n), np.random.default_rng(0))
-        assert np.array_equal(c1, p1) and np.array_equal(c2, p2)
+        parents = np.stack([np.full((1, n), 0.2), np.full((1, n), 0.8)])
+        children = sbx_batch(parents, VariationParams(pc=0.0),
+                             np.zeros(n), np.ones(n), np.random.default_rng(0))
+        assert np.array_equal(children, parents)
 
     def test_large_eta_keeps_children_near_parents(self):
         n = 6
-        p1, p2 = np.full((1, n), 0.3), np.full((1, n), 0.7)
-        c1, c2 = sbx_batch(p1, p2, VariationParams(eta_c=1e6),
-                           np.zeros(n), np.ones(n), np.random.default_rng(2))
-        assert np.allclose(np.sort(np.vstack([c1, c2]), axis=0),
-                           np.vstack([p1, p2]), atol=1e-4)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(UsageError):
-            sbx_batch(np.zeros((2, 3)), np.zeros((3, 3)), VariationParams(),
-                      np.zeros(3), np.ones(3), np.random.default_rng(0))
+        parents = np.stack([np.full((1, n), 0.3), np.full((1, n), 0.7)])
+        children = sbx_batch(parents, VariationParams(eta_c=1e6),
+                             np.zeros(n), np.ones(n), np.random.default_rng(2))
+        assert np.allclose(np.sort(children, axis=0), parents, atol=1e-4)
 
     def test_determinism(self):
         n = 4
-        p1, p2 = np.full((1, n), 0.1), np.full((1, n), 0.9)
-        out1 = sbx_batch(p1, p2, VariationParams(), np.zeros(n), np.ones(n),
+        parents = np.stack([np.full((1, n), 0.1), np.full((1, n), 0.9)])
+        out1 = sbx_batch(parents, VariationParams(), np.zeros(n), np.ones(n),
                          np.random.default_rng(9))
-        out2 = sbx_batch(p1, p2, VariationParams(), np.zeros(n), np.ones(n),
+        out2 = sbx_batch(parents, VariationParams(), np.zeros(n), np.ones(n),
                          np.random.default_rng(9))
-        assert np.array_equal(out1[0], out2[0]) and np.array_equal(out1[1], out2[1])
+        assert np.array_equal(out1, out2)
 
 
 class TestPolynomialMutation:
@@ -239,10 +231,12 @@ class TestSbxMatchesOracle:
         for seed in range(100):
             parents = np.random.default_rng(10_000 + seed).random((2, 30, 10))
             # parents near both bounds send children past them
-            p1, p2 = lower + np.round(parents, 1) * (upper - lower)
+            parents = lower + np.round(parents, 1) * (upper - lower)
+            p1, p2 = parents
             rng, oracle_rng = make(seed), make(seed)
-            got = sbx_batch(p1, p2, params, lower, upper, rng)
+            got = sbx_batch(parents, params, lower, upper, rng)
             expected = sbx_batch_oracle(p1, p2, params, lower, upper, oracle_rng)
+            assert got.shape == parents.shape
             for child, want in zip(got, expected):
                 assert child.tobytes() == want.tobytes()
                 at_lower += np.count_nonzero((child == lower) & (p1 != lower) & (p2 != lower))
@@ -289,6 +283,46 @@ class TestGenerateOffspring:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.f, b.f)
 
 
+def generate_offspring_oracle(source, n, params, problem, rng):
+    """generate_offspring as first written: one gather per parent, two SBX
+    children from the two-formula oracle, joined by np.concatenate."""
+    pairs = mating_pool(source, n, rng)
+    c1, c2 = sbx_batch_oracle(source.x[pairs[:, 0]], source.x[pairs[:, 1]],
+                              params, problem.lower, problem.upper, rng)
+    children = np.concatenate([c1, c2])[:n]
+    children = mutate_batch(children, params, problem.lower, problem.upper, rng)
+    return Population(children, problem.evaluate_batch(children))
+
+
+class TestGenerateOffspringMatchesOracle:
+    @pytest.mark.parametrize("n", [1, 12, 13, 50], ids=lambda n: f"n={n}")
+    @pytest.mark.parametrize("params", [VariationParams(), VariationParams(pc=0.5, eta_c=0.5)],
+                             ids=["default", "wide"])
+    def test_byte_equal_over_seeds(self, n, params):
+        lower, upper = np.array([0.0] + [-5.0] * 9), np.array([1.0] + [5.0] * 9)
+        problem = ProblemSpec("box", 10, 2, lower, upper,
+                              lambda x: np.column_stack([x.sum(axis=1), -x.sum(axis=1)]))
+        clipped = 0
+        for seed in range(50):
+            # parents on a coarse grid, many of them on a bound, so children clip
+            grid = np.round(np.random.default_rng(20_000 + seed).random((17, 10)), 1)
+            x = lower + grid * (upper - lower)
+            source = Population(x, problem.evaluate_batch(x))
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = generate_offspring(source, n, params, problem, rng)
+            expected = generate_offspring_oracle(source, n, params, problem, oracle_rng)
+            assert got.x.tobytes() == expected.x.tobytes()
+            assert got.f.tobytes() == expected.f.tobytes()
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            # the same draws without bounds: some children fall outside the box
+            replay = np.random.default_rng(seed)
+            pairs = mating_pool(source, n, replay)
+            unbounded = sbx_batch_oracle(x[pairs[:, 0]], x[pairs[:, 1]], params,
+                                         np.full(10, -np.inf), np.full(10, np.inf), replay)
+            clipped += sum(np.count_nonzero((c < lower) | (c > upper)) for c in unbounded)
+        assert clipped > 0
+
+
 def _ks_distance(sample, cdf):
     """Kolmogorov-Smirnov distance between a sample's empirical CDF and cdf."""
     x = np.sort(sample, axis=None)
@@ -315,7 +349,7 @@ class TestOperatorLaws:
         p1 = rng.uniform(0.3, 0.7, shape)
         p2 = p1 + rng.choice([-1.0, 1.0], shape) * rng.uniform(0.1, 0.3, shape)
         lower, upper = np.full(100, -10.0), np.full(100, 10.0)  # never reached
-        c1, c2 = sbx_batch(p1, p2, VariationParams(eta_c=eta_c), lower, upper, rng)
+        c1, c2 = sbx_batch(np.stack([p1, p2]), VariationParams(eta_c=eta_c), lower, upper, rng)
         return p1, p2, c1, c2, (c1 - c2) / (p1 - p2)
 
     @pytest.mark.parametrize("eta_c", [20.0, 2.0])
